@@ -134,9 +134,10 @@ fn run_independent_on(
 }
 
 /// The k=3 throughput case: the `cpu=16,gpu=4,fpga=2` demonstration
-/// platform exercises the pair-queue engine path (one affinity order per
-/// class pair, argmax pops) instead of the two-class deque. Same case name
-/// in the smoke and full suites so the `--against` gate compares it.
+/// platform exercises the three-pair ready queue (each class pair's
+/// affinity order sorted once, argmax pops with lazy deletion) instead of
+/// the single-pair deque. Same case name in the smoke and full suites so
+/// the `--against` gate compares it.
 fn run_multi_class_k3() -> CaseResult {
     let (_, platform) = heteroprio_workloads::three_class_platform();
     let instance = multi_class_instance(&MultiClassParams::three_class(5_000), 0xC1A55);

@@ -3,7 +3,11 @@
 //!
 //! Ready tasks sit in a single queue sorted by non-increasing acceleration
 //! factor ρ = p/q. An idle GPU pops from the *front* (most GPU-friendly
-//! task), an idle CPU pops from the *back*. When the queue is empty, an idle
+//! task), an idle CPU pops from the *back*. On a platform with k ≥ 3
+//! classes the same batch is sorted once per class pair {a, b} by
+//! ρ_ab = t_a / t_b, and a worker pops the task with its best comparative
+//! advantage across the pairs that involve its class; the two-class queue
+//! is the one-pair case. When the queue is empty, an idle
 //! worker examines the tasks currently running on the *other* resource class
 //! in decreasing order of expected completion time, and **spoliates** the
 //! first one whose completion it can strictly improve: the victim run is
@@ -28,8 +32,8 @@ use crate::kernel::{
     self, EngineError, FaultModel, KernelContext, KernelOptions, KernelPolicy, Pick, RunningTask,
     SnapshotPolicy, Workload,
 };
-use crate::model::{ClassId, Instance, Platform, ResourceKind, TaskId, WorkerId};
-use crate::queue::ClassQueue;
+use crate::model::{ClassId, Instance, ModelError, Platform, TaskId, WorkerId};
+use crate::queue::pair_index;
 use crate::schedule::Schedule;
 use crate::time::{strictly_less, F64Ord};
 use heteroprio_metrics::{MetricsRegistry, NullRegistry};
@@ -61,6 +65,24 @@ pub enum QueueTieBreak {
     /// Stable order: ties keep their instance order. Used by the worst-case
     /// constructions, which pick an adversarial insertion order.
     InsertionOrder,
+}
+
+impl QueueTieBreak {
+    /// The secondary queue key of a task with pair ratio `rho`: under the
+    /// priority rule, `−priority` on the accelerated side (`ρ ≥ 1`) and
+    /// `+priority` on the other, so each end of the queue sees its highest
+    /// priority first; `0` under insertion order, leaving ties to the
+    /// caller's FIFO component.
+    #[inline]
+    pub(crate) fn key(self, rho: f64, priority: f64) -> f64 {
+        match self {
+            // lint: allow(float-ord): orientation branch, not arithmetic — ρ = 1 exactly
+            // is a documented policy choice (the accelerated-side tie rule applies).
+            QueueTieBreak::Priority if rho >= 1.0 => -priority,
+            QueueTieBreak::Priority => priority,
+            QueueTieBreak::InsertionOrder => 0.0,
+        }
+    }
 }
 
 /// Ordering among spoliation candidates with equal expected completion time.
@@ -123,8 +145,7 @@ impl HeteroPrioResult {
 }
 
 /// Build the ready queue: non-increasing acceleration factor, ties per
-/// `tie`. Exposed for reuse by the DAG-mode policy in
-/// `heteroprio-schedulers`.
+/// `tie`. Exposed for reuse by the frozen seed engine in `heteroprio-bench`.
 /// The sort keys are computed once per task and cached, not re-derived in
 /// the comparator: on a million-task queue the comparator runs tens of
 /// millions of times, and the two `accel_factor()` divisions per call used
@@ -171,6 +192,43 @@ pub fn sorted_queue(instance: &Instance, ids: &[TaskId], tie: QueueTieBreak) -> 
             keyed.into_iter().map(|(_, _, id)| id).collect()
         }
     }
+}
+
+/// The ready order of the class pair `{a, b}` (`a < b`): ascending
+/// `(−ρ_ab, tie key, id)` with `ρ_ab = t_a / t_b`, so the front holds the
+/// task class `b` favours most and the back the one class `a` favours most.
+///
+/// Ties fall to the task id rather than the position in `ids`. The
+/// independent engine announces its tasks in ascending id order, so a
+/// fresh run sees exactly the FIFO order of
+/// [`ClassQueue`](crate::queue::ClassQueue), and a snapshot restore
+/// rebuilds every pair bit for bit whatever order the snapshot lists the
+/// tasks in.
+fn pair_queue(
+    instance: &Instance,
+    ids: &[TaskId],
+    a: ClassId,
+    b: ClassId,
+    tie: QueueTieBreak,
+) -> VecDeque<TaskId> {
+    let mut keyed: Vec<(F64Ord, F64Ord, u32)> = ids
+        .iter()
+        .map(|&id| {
+            let t = instance.task(id);
+            let rho = t.try_affinity(a, b).unwrap_or_else(|e| unqueueable(id, e));
+            (F64Ord(-rho), F64Ord(tie.key(rho, t.priority)), id.0)
+        })
+        .collect();
+    sort_total(&mut keyed);
+    keyed.into_iter().map(|(_, _, id)| TaskId(id)).collect()
+}
+
+/// A task whose pair ratio is not positive and finite cannot be ordered;
+/// out of line so the key loop stays branch-light.
+#[cold]
+#[inline(never)]
+fn unqueueable(id: TaskId, e: ModelError) -> ! {
+    panic!("cannot queue {id}: {e}")
 }
 
 /// Sort by a total key, picking the algorithm from the input's run
@@ -261,25 +319,80 @@ impl Workload for IndependentWorkload<'_> {
     }
 }
 
-/// The ready structure of the independent-task policy.
+/// The ready structure of the independent-task policy, for every `k`: one
+/// [`pair_queue`]-sorted deque per unordered class pair `{a, b}`, built once
+/// when the batch arrives, plus a per-task `queued` flag.
 ///
-/// The canonical two-class platform keeps Algorithm 1's double-ended
-/// sorted queue verbatim (its pops and `QueueEnd` annotations are pinned
-/// by the parity suites); a `k ≥ 3` platform uses the per-class-pair
-/// [`ClassQueue`], whose argmax pop degenerates to the same front/back
-/// discipline at `k = 2`.
-enum ReadyQueue {
-    Deque(VecDeque<TaskId>),
-    Classes(Box<ClassQueue>),
+/// A worker of class `c` looks at the end of each pair involving `c` that
+/// favours `c` (the front when `c` is the pair's `b` class, else the back)
+/// and pops the one with the greatest advantage: the argmax of
+/// [`ClassQueue::pop`](crate::queue::ClassQueue::pop) over the same keys,
+/// so the drain order is the same. Only the winning pair pops the task;
+/// its entries in the other pairs go stale and are dropped when they reach
+/// an end (the `queued` flag tells).
+///
+/// At `k = 2` there is one pair, Algorithm 1's double-ended queue: GPUs pop
+/// the front, CPUs the back, and nothing can go stale.
+struct ReadyQueue {
+    k: usize,
+    /// One deque per pair `(a, b)`, `a < b`, indexed by [`pair_index`].
+    pairs: Vec<VecDeque<TaskId>>,
+    /// `queued[t]`: task `t` is still waiting. An entry in a pair is live
+    /// iff its task is queued. The single-pair pop never reads the flag,
+    /// so it never clears it either.
+    queued: Vec<bool>,
 }
 
 impl ReadyQueue {
-    fn new(platform: &Platform, config: &HeteroPrioConfig) -> Self {
-        if platform.k() == 2 {
-            ReadyQueue::Deque(VecDeque::new())
-        } else {
-            ReadyQueue::Classes(Box::new(ClassQueue::new(platform.k(), config.queue_tie)))
+    fn new(k: usize) -> Self {
+        ReadyQueue { k, pairs: Vec::new(), queued: Vec::new() }
+    }
+
+    fn is_queued(queued: &[bool], task: TaskId) -> bool {
+        queued.get(task.index()).copied().unwrap_or(false)
+    }
+
+    /// Drop stale entries from one end of pair `idx`, then return the live
+    /// task there.
+    fn live_end(&mut self, idx: usize, front: bool) -> Option<TaskId> {
+        let pair = self.pairs.get_mut(idx).expect("pair_index < pair count");
+        loop {
+            let task = *if front { pair.front() } else { pair.back() }?;
+            if Self::is_queued(&self.queued, task) {
+                return Some(task);
+            }
+            if front {
+                pair.pop_front();
+            } else {
+                pair.pop_back();
+            }
         }
+    }
+
+    /// Pop the task best suited to class `c`: the strictly greatest
+    /// advantage `t_other / t_c` across the pairs that involve `c`, the
+    /// lowest other class winning ties. Kept out of line, since the
+    /// single-pair pick never calls it.
+    #[inline(never)]
+    fn pop_argmax(&mut self, instance: &Instance, c: usize) -> Option<TaskId> {
+        let mut best: Option<(f64, usize, bool)> = None;
+        for d in (0..self.k).filter(|&d| d != c) {
+            let (a, b) = (c.min(d), c.max(d));
+            let idx = pair_index(self.k, a, b);
+            let front = c == b;
+            let Some(task) = self.live_end(idx, front) else { continue };
+            let rho = instance.task(task).affinity(ClassId::from(a), ClassId::from(b));
+            let advantage = if front { rho } else { 1.0 / rho };
+            if best.is_none_or(|(adv, ..)| advantage > adv) {
+                best = Some((advantage, idx, front));
+            }
+        }
+        let (_, idx, front) = best?;
+        let pair = self.pairs.get_mut(idx).expect("pair_index < pair count");
+        let task = if front { pair.pop_front() } else { pair.pop_back() }
+            .expect("the winning end holds a live task");
+        *self.queued.get_mut(task.index()).expect("queued sized to the instance") = false;
+        Some(task)
     }
 }
 
@@ -290,42 +403,54 @@ struct IndependentPolicy<'a> {
     queue: ReadyQueue,
 }
 
+impl<'a> IndependentPolicy<'a> {
+    fn new(instance: &'a Instance, platform: &Platform, config: &HeteroPrioConfig) -> Self {
+        IndependentPolicy { instance, config: *config, queue: ReadyQueue::new(platform.k()) }
+    }
+}
+
 impl KernelPolicy for IndependentPolicy<'_> {
     fn on_ready(&mut self, tasks: &[TaskId], _ctx: &KernelContext<'_>) {
         // Independent tasks: everything arrives in one batch at t = 0 (plus
         // kernel restarts after spoliation, which re-enter through `pick`'s
         // own bookkeeping — the kernel restarts stolen tasks directly, so
-        // this is called exactly once).
-        match &mut self.queue {
-            ReadyQueue::Deque(q) => {
-                *q = sorted_queue(self.instance, tasks, self.config.queue_tie);
-            }
-            ReadyQueue::Classes(q) => {
-                let mut fresh = ClassQueue::new(q.k(), self.config.queue_tie);
-                for &t in tasks {
-                    fresh.push(self.instance, t);
-                }
-                **q = fresh;
-            }
+        // this is called exactly once; a resumed run calls it once with the
+        // snapshot's ready set).
+        let q = &mut self.queue;
+        q.queued.clear();
+        q.queued.resize(self.instance.len(), false);
+        for &t in tasks {
+            *q.queued.get_mut(t.index()).expect("announced tasks belong to the instance") = true;
         }
+        q.pairs = (0..q.k)
+            .flat_map(|a| ((a + 1)..q.k).map(move |b| (a, b)))
+            .map(|(a, b)| {
+                let (a, b) = (ClassId::from(a), ClassId::from(b));
+                pair_queue(self.instance, tasks, a, b, self.config.queue_tie)
+            })
+            .collect();
     }
 
     fn pick(&mut self, worker: WorkerId, ctx: &KernelContext<'_>) -> Option<Pick> {
-        match &mut self.queue {
-            ReadyQueue::Deque(q) => {
-                let (popped, end) = match ctx.platform.kind_of(worker) {
-                    ResourceKind::Gpu => (q.pop_front(), QueueEnd::Front),
-                    ResourceKind::Cpu => (q.pop_back(), QueueEnd::Back),
+        let class = ctx.platform.class_of(worker).index();
+        match self.queue.pairs.as_mut_slice() {
+            // One pair (k = 2): Algorithm 1 verbatim — the GPU (class 1)
+            // pops the front, the CPU (class 0) the back — with the
+            // `QueueEnd` annotation the two-class pop-order rule audits.
+            [pair] => {
+                let (popped, end) = if class == 1 {
+                    (pair.pop_front(), QueueEnd::Front)
+                } else {
+                    (pair.pop_back(), QueueEnd::Back)
                 };
                 popped.map(|task| Pick { task, queue_end: Some(end) })
             }
-            // The pair-queue pop reports which end of the winning pair it
-            // came from, but the auditor's pop-order rule is a two-class
-            // certificate — leave the annotation off so k ≥ 3 traces make
-            // no claim the rule could misread.
-            ReadyQueue::Classes(q) => q
-                .pop(ctx.platform.class_of(worker))
-                .map(|(task, _side)| Pick { task, queue_end: None }),
+            // The auditor's pop-order rule is a two-class certificate, so
+            // k ≥ 3 picks make no end claim it could misread.
+            _ => self
+                .queue
+                .pop_argmax(self.instance, class)
+                .map(|task| Pick { task, queue_end: None }),
         }
     }
 
@@ -342,16 +467,17 @@ impl KernelPolicy for IndependentPolicy<'_> {
 }
 
 impl SnapshotPolicy for IndependentPolicy<'_> {
+    /// Pair `(0, 1)`'s live tasks, front first. Every queued task sits in
+    /// every pair, so this is the whole ready set.
     fn ready_order(&self) -> Vec<TaskId> {
-        match &self.queue {
-            ReadyQueue::Deque(q) => q.iter().copied().collect(),
-            ReadyQueue::Classes(q) => q.iter().collect(),
-        }
+        let q = &self.queue;
+        q.pairs.first().map_or_else(Vec::new, |pair| {
+            pair.iter().copied().filter(|&t| ReadyQueue::is_queued(&q.queued, t)).collect()
+        })
     }
     // The default `restore` (re-announce via `on_ready`) is exact here:
-    // `sorted_queue` is a deterministic total order under Priority ties and
-    // a stable sort under InsertionOrder ties, so feeding back the saved
-    // queue order reproduces it.
+    // every pair's key is total and ends in the task id, so re-sorting the
+    // saved ready set reproduces each pair's order whatever the list order.
 }
 
 /// Run HeteroPrio (Algorithm 1) on an instance of independent tasks.
@@ -387,8 +513,7 @@ pub fn heteroprio_metered<S: TraceSink, M: MetricsRegistry + ?Sized>(
     metrics: &M,
 ) -> HeteroPrioResult {
     let mut workload = IndependentWorkload { instance };
-    let mut policy =
-        IndependentPolicy { instance, config: *config, queue: ReadyQueue::new(platform, config) };
+    let mut policy = IndependentPolicy::new(instance, platform, config);
     let outcome = kernel::run(
         platform,
         &mut workload,
@@ -419,8 +544,7 @@ pub fn heteroprio_durable<S: TraceSink, M: MetricsRegistry + ?Sized>(
     metrics: &M,
 ) -> Result<HeteroPrioResult, EngineError> {
     let mut workload = IndependentWorkload { instance };
-    let mut policy =
-        IndependentPolicy { instance, config: *config, queue: ReadyQueue::new(platform, config) };
+    let mut policy = IndependentPolicy::new(instance, platform, config);
     let outcome = kernel::run_durable(
         platform,
         &mut workload,
@@ -450,8 +574,7 @@ pub fn heteroprio_resume<S: TraceSink, M: MetricsRegistry + ?Sized>(
     metrics: &M,
 ) -> Result<HeteroPrioResult, ResumeError> {
     let mut workload = IndependentWorkload { instance };
-    let mut policy =
-        IndependentPolicy { instance, config: *config, queue: ReadyQueue::new(platform, config) };
+    let mut policy = IndependentPolicy::new(instance, platform, config);
     let outcome = kernel::resume(
         platform,
         &mut workload,
@@ -473,7 +596,7 @@ pub fn heteroprio_resume<S: TraceSink, M: MetricsRegistry + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Task;
+    use crate::model::{ResourceKind, Task};
     use crate::time::{approx_eq, PHI};
 
     fn run(instance: &Instance, platform: &Platform) -> HeteroPrioResult {

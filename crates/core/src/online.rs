@@ -14,7 +14,8 @@
 //!
 //! Arrivals are a [`Workload`] over the shared event kernel
 //! ([`crate::kernel`]); the queue discipline is the same Algorithm 1 policy
-//! as the offline engine, backed by the incremental [`AffinityQueue`](crate::queue::AffinityQueue).
+//! as the offline engine, backed by the incremental [`ClassQueue`] (the
+//! offline engine sorts its one batch once instead).
 
 use crate::heteroprio::{scan_victim, HeteroPrioConfig, HeteroPrioResult};
 use crate::kernel::{self, FaultModel, KernelContext, KernelOptions, KernelPolicy, Pick, Workload};
@@ -188,8 +189,11 @@ impl KernelPolicy for OnlineQueuePolicy<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::heteroprio::heteroprio;
+    use crate::heteroprio::{heteroprio, heteroprio_traced, QueueTieBreak};
+    use crate::model::Task;
     use crate::time::approx_eq;
+    use heteroprio_trace::VecSink;
+    use proptest::prelude::*;
 
     #[test]
     fn zero_releases_match_offline_heteroprio() {
@@ -209,6 +213,68 @@ mod tests {
                 online.makespan()
             );
             assert_eq!(offline.spoliations, online.spoliations);
+        }
+        // k ≥ 3: the offline engine sorts each class pair once, the online
+        // one inserts into `ClassQueue`; with zero releases the two must
+        // emit the same events.
+        let rows: Vec<Vec<f64>> = (1..=15)
+            .map(|i| (0..4).map(|c| ((i * (31 + 7 * c) + c) % 9 + 1) as f64).collect())
+            .collect();
+        for k in [3, 4] {
+            let rows_k: Vec<&[f64]> = rows.iter().map(|r| &r[..k]).collect();
+            let inst = Instance::from_class_times(&rows_k);
+            let platform = Platform::from_counts(&[3, 2, 1, 1][..k]);
+            assert_zero_release_parity(&inst, &platform, &HeteroPrioConfig::new());
+        }
+    }
+
+    /// Offline and online runs of `inst` with all-zero releases emit the
+    /// same event stream, event for event, and the same schedule.
+    fn assert_zero_release_parity(inst: &Instance, platform: &Platform, cfg: &HeteroPrioConfig) {
+        let mut offline = VecSink::new();
+        let off = heteroprio_traced(inst, platform, cfg, &mut offline);
+        let mut online = VecSink::new();
+        let on = heteroprio_online_traced(inst, &vec![0.0; inst.len()], platform, cfg, &mut online);
+        on.schedule.validate(inst, platform).unwrap();
+        assert_eq!(online.events, offline.events, "k = {}, {cfg:?}", platform.k());
+        assert_eq!(on.schedule.runs, off.schedule.runs);
+        assert_eq!(on.spoliations, off.spoliations);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // The route identity at k ∈ {3, 4}: random tie-dense instances,
+        // both tie rules, priorities, spoliation on and off, every worker
+        // order.
+        #[test]
+        fn zero_releases_match_offline_at_three_and_four_classes(
+            k in 3usize..5,
+            rows in prop::collection::vec(
+                (prop::collection::vec(0usize..5, 4..5), 0usize..3), 1..30),
+            counts in prop::collection::vec(1usize..4, 4..5),
+            tie_by_priority in 0u8..2,
+            spoliation_off in 0u8..2,
+            order in 0usize..3,
+        ) {
+            const TIMES: [f64; 5] = [1.0, 2.0, 3.0, 4.0, 8.0];
+            let mut inst = Instance::new();
+            for (times, p) in &rows {
+                let row: Vec<f64> = times[..k].iter().map(|&t| TIMES[t]).collect();
+                inst.push(Task::from_times(&row).with_priority(*p as f64));
+            }
+            let platform = Platform::from_counts(&counts[..k]);
+            let cfg = HeteroPrioConfig {
+                disable_spoliation: spoliation_off == 1,
+                worker_order: [WorkerOrder::GpusFirst, WorkerOrder::CpusFirst, WorkerOrder::ById][order],
+                queue_tie: if tie_by_priority == 1 {
+                    QueueTieBreak::Priority
+                } else {
+                    QueueTieBreak::InsertionOrder
+                },
+                ..HeteroPrioConfig::new()
+            };
+            assert_zero_release_parity(&inst, &platform, &cfg);
         }
     }
 

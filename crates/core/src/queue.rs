@@ -6,8 +6,10 @@
 //! highest-priority task closest to the end of the queue served by the
 //! resource class that wants it, falling back to insertion order.
 //!
-//! Used by the independent-task algorithm, the online (release-dates)
-//! variant, and the DAG-mode policy in `heteroprio-schedulers`.
+//! Used by the online (release-dates) variant, through [`ClassQueue`] at
+//! k = 2, and by the DAG-mode policy in `heteroprio-schedulers`. The
+//! independent-task algorithm gets its whole batch at once and sorts it
+//! instead (see `crate::heteroprio`).
 //!
 //! # Bucketed representation
 //!
@@ -99,21 +101,9 @@ impl AffinityQueue {
             Ok(rho) => rho,
             Err(e) => panic!("cannot queue {task}: {e}"),
         };
-        let tie = match self.tie {
-            QueueTieBreak::Priority => {
-                // lint: allow(float-ord): orientation branch, not arithmetic — ρ = 1 exactly
-                // is a documented policy choice (GPU-side tie rule applies).
-                if rho >= 1.0 {
-                    -t.priority
-                } else {
-                    t.priority
-                }
-            }
-            QueueTieBreak::InsertionOrder => 0.0,
-        };
         let seq = self.seq;
         self.seq = self.seq.checked_add(1).expect("u64 push sequence never saturates");
-        (F64Ord::new(-rho), F64Ord::new(tie), seq, task)
+        (F64Ord::new(-rho), F64Ord::new(self.tie.key(rho, t.priority)), seq, task)
     }
 
     /// Insert a ready task.
@@ -219,20 +209,31 @@ pub enum PopSide {
     Back,
 }
 
-/// The ready queue generalized to `k` resource classes: one
-/// affinity-ordered queue per unordered class pair `{a, b}`, keyed by the
-/// pair ratio `ρ_ab = t_a / t_b`. A worker of class `c` pops the candidate
-/// with the largest relative speedup on `c` across the `k − 1` pairs that
-/// involve `c` — the argmax generalization of "GPUs pop the front, CPUs
-/// the back".
+/// Index of the class pair `{a, b}` (`a < b < k`) in row-major
+/// upper-triangular order: `(0, 1), (0, 2), …, (1, 2), …`.
+#[inline]
+pub(crate) fn pair_index(k: usize, a: usize, b: usize) -> usize {
+    debug_assert!(a < b && b < k);
+    a * (2 * k - a - 1) / 2 + (b - a - 1)
+}
+
+/// The ready queue generalized to `k` resource classes, for dynamic
+/// arrivals (the online engine): one affinity-ordered queue per unordered
+/// class pair `{a, b}`, keyed by the pair ratio `ρ_ab = t_a / t_b`. A
+/// worker of class `c` pops the candidate with the largest relative
+/// speedup on `c` across the `k − 1` pairs that involve `c` — the argmax
+/// generalization of "GPUs pop the front, CPUs the back". (The
+/// independent engine, whose tasks all arrive at once, sorts each pair
+/// once instead.)
 ///
 /// On the canonical two-class platform there is exactly one pair, and the
 /// structure *is* the bucketed [`AffinityQueue`] (same keys, same pops:
 /// bit-identical order, pinned by `two_class_matches_affinity_queue`
-/// below). For `k ≥ 3` every task sits in `k−1` relevant pairs, so each
-/// pair holds an exact sorted set and a pop eagerly removes the task's
-/// entries from the other pairs (`O(k² log n)`, still cheap for the class
-/// counts [`MAX_CLASSES`](crate::model::MAX_CLASSES) allows).
+/// below). For `k ≥ 3` each pair holds an exact sorted set (`O(log n)`
+/// per insert). A pop removes the task from the winning pair only; each
+/// task carries the push sequence of its live entries, and entries with
+/// another sequence are stale: a pop drops them when they reach an end,
+/// and [`ClassQueue::iter`] skips them.
 #[derive(Clone, Debug)]
 pub struct ClassQueue {
     tie: QueueTieBreak,
@@ -240,11 +241,11 @@ pub struct ClassQueue {
     /// `k == 2` fast path: the single pair, bucketed.
     two: Option<AffinityQueue>,
     /// `k ≥ 3`: one sorted set per pair `(a, b)`, `a < b`, indexed by
-    /// [`ClassQueue::pair_index`]. Ascending key order = class-`b` end.
+    /// [`pair_index`]. Ascending key order = class-`b` end.
     pairs: Vec<BTreeSet<Key>>,
-    /// Per-task keys currently sitting in `pairs` (by task index), so a
-    /// pop can remove the task from every other pair exactly.
-    keys: Vec<Option<Vec<Key>>>,
+    /// Push sequence of each queued task's live entries (by task index),
+    /// `None` once popped.
+    stamps: Vec<Option<u64>>,
     live: usize,
     seq: u64,
 }
@@ -258,7 +259,7 @@ impl ClassQueue {
         } else {
             (None, vec![BTreeSet::new(); k * (k - 1) / 2])
         };
-        ClassQueue { tie, k, two, pairs, keys: Vec::new(), live: 0, seq: 0 }
+        ClassQueue { tie, k, two, pairs, stamps: Vec::new(), live: 0, seq: 0 }
     }
 
     /// Number of classes this queue was sized for.
@@ -266,15 +267,14 @@ impl ClassQueue {
         self.k
     }
 
-    /// Index of the pair `{a, b}` (`a < b`) in row-major upper-triangular
-    /// order.
+    /// Whether `key` is its task's live entry.
     #[inline]
-    fn pair_index(&self, a: usize, b: usize) -> usize {
-        debug_assert!(a < b && b < self.k);
-        a * (2 * self.k - a - 1) / 2 + (b - a - 1)
+    fn is_live(stamps: &[Option<u64>], key: &Key) -> bool {
+        stamps.get(key.3.index()).copied().flatten() == Some(key.2)
     }
 
-    /// Insert a ready task.
+    /// Insert a ready task. A task must not be pushed again while it is
+    /// queued.
     pub fn push(&mut self, instance: &Instance, task: TaskId) {
         if let Some(two) = &mut self.two {
             two.push(instance, task);
@@ -283,36 +283,24 @@ impl ClassQueue {
         let t = instance.task(task);
         let seq = self.seq;
         self.seq = self.seq.checked_add(1).expect("u64 push sequence never saturates");
-        let mut keys = Vec::with_capacity(self.k - 1);
         for a in 0..self.k {
             for b in (a + 1)..self.k {
                 let rho = match t.try_affinity(ClassId::from(a), ClassId::from(b)) {
                     Ok(rho) => rho,
                     Err(e) => panic!("cannot queue {task}: {e}"),
                 };
-                let tie = match self.tie {
-                    QueueTieBreak::Priority => {
-                        // lint: allow(float-ord): orientation branch, not arithmetic — the
-                        // pair ratio exactly 1 takes the accelerated-side tie rule, same
-                        // boundary choice as the two-class queue.
-                        if rho >= 1.0 {
-                            -t.priority
-                        } else {
-                            t.priority
-                        }
-                    }
-                    QueueTieBreak::InsertionOrder => 0.0,
-                };
-                let key = (F64Ord::new(-rho), F64Ord::new(tie), seq, task);
-                let idx = self.pair_index(a, b);
+                let key =
+                    (F64Ord::new(-rho), F64Ord::new(self.tie.key(rho, t.priority)), seq, task);
+                let idx = pair_index(self.k, a, b);
                 self.pairs.get_mut(idx).expect("pair_index < pair count").insert(key);
-                keys.push(key);
             }
         }
-        if self.keys.len() <= task.index() {
-            self.keys.resize(task.index() + 1, None);
+        if self.stamps.len() <= task.index() {
+            self.stamps.resize(task.index() + 1, None);
         }
-        *self.keys.get_mut(task.index()).expect("resized above") = Some(keys);
+        let stamp = self.stamps.get_mut(task.index()).expect("resized above");
+        debug_assert!(stamp.is_none(), "{task} pushed while already queued");
+        *stamp = Some(seq);
         self.live += 1;
     }
 
@@ -338,49 +326,42 @@ impl ClassQueue {
                 continue;
             }
             let (a, b) = (c.min(d), c.max(d));
-            let idx = self.pair_index(a, b);
-            let set = self.pairs.get(idx).expect("pair_index < pair count");
+            let idx = pair_index(self.k, a, b);
+            let set = self.pairs.get_mut(idx).expect("pair_index < pair count");
             // Ascending key order is descending ρ_ab = t_a / t_b: the
             // first element favours class b most, the last class a most.
-            let (key, side) =
-                if c == b { (set.first(), PopSide::Front) } else { (set.last(), PopSide::Back) };
-            let Some(&key) = key else { continue };
+            let side = if c == b { PopSide::Front } else { PopSide::Back };
+            let key = loop {
+                let end = match side {
+                    PopSide::Front => set.first(),
+                    PopSide::Back => set.last(),
+                };
+                match end {
+                    Some(key) if !Self::is_live(&self.stamps, key) => {
+                        let _ = match side {
+                            PopSide::Front => set.pop_first(),
+                            PopSide::Back => set.pop_last(),
+                        };
+                    }
+                    end => break end.copied(),
+                }
+            };
+            let Some(key) = key else { continue };
             let rho = -(key.0).0;
             let advantage = match side {
                 PopSide::Front => rho,
                 PopSide::Back => 1.0 / rho,
             };
-            // lint: allow(float-ord): argmax selection over positive finite
-            // ratios; construction rejects NaN before keys are built.
-            let better = match &best {
-                None => true,
-                Some((adv, ..)) => advantage > *adv,
-            };
-            if better {
+            if best.is_none_or(|(adv, ..)| advantage > adv) {
                 best = Some((advantage, idx, side, key));
             }
         }
         let (_, winner_idx, side, key) = best?;
         let task = key.3;
         self.pairs.get_mut(winner_idx).expect("pair_index < pair count").remove(&key);
-        let keys = self
-            .keys
-            .get_mut(task.index())
-            .and_then(Option::take)
-            .expect("popped task has recorded keys");
-        for (idx, k) in Self::pair_indices(self.k).zip(&keys) {
-            if idx != winner_idx {
-                self.pairs.get_mut(idx).expect("pair_index < pair count").remove(k);
-            }
-        }
+        *self.stamps.get_mut(task.index()).expect("a popped task was pushed") = None;
         self.live -= 1;
         Some((task, side))
-    }
-
-    /// Pair indices in the push order (`(0,1), (0,2), …`), matching the
-    /// layout of the per-task key vectors.
-    fn pair_indices(k: usize) -> impl Iterator<Item = usize> {
-        (0..k).flat_map(move |a| ((a + 1)..k).map(move |b| a * (2 * k - a - 1) / 2 + (b - a - 1)))
     }
 
     pub fn len(&self) -> usize {
@@ -396,10 +377,10 @@ impl ClassQueue {
 
     /// Tasks in snapshot order. On a two-class queue this is the exact
     /// accelerated-to-decelerated order of the underlying
-    /// [`AffinityQueue`]; for `k ≥ 3` it is the `(0, 1)` pair's order —
-    /// re-pushing reproduces every pair's ρ order exactly and the `(0, 1)`
-    /// pair's FIFO ties, which is the strongest order a single linear
-    /// snapshot can preserve across `k−1` interleaved tie spaces.
+    /// [`AffinityQueue`]; for `k ≥ 3` it is the `(0, 1)` pair's live
+    /// order — re-pushing reproduces every pair's ρ order exactly and the
+    /// `(0, 1)` pair's FIFO ties, which is the strongest order a single
+    /// linear snapshot can preserve across `k−1` interleaved tie spaces.
     pub fn iter(&self) -> Box<dyn Iterator<Item = TaskId> + '_> {
         match &self.two {
             Some(two) => Box::new(two.iter()),
@@ -408,6 +389,7 @@ impl ClassQueue {
                     .first()
                     .expect("k >= 3 queue has pairs")
                     .iter()
+                    .filter(|key| Self::is_live(&self.stamps, key))
                     .map(|&(_, _, _, task)| task),
             ),
         }

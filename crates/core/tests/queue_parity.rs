@@ -1,8 +1,9 @@
-//! Parity oracle for the bucketed [`AffinityQueue`]: a frozen copy of the
-//! pre-bucketing `BTreeSet` implementation, plus proptests sweeping
-//! push/pop/snapshot-restore interleavings and asserting the two are
-//! drain-identical — the "bit-identical pop order" guarantee the rebuild
-//! promises.
+//! Parity oracles for the ready queues: a frozen copy of the pre-bucketing
+//! `BTreeSet` [`AffinityQueue`], and a frozen copy of the eager-removal
+//! `BTreeSet` [`ClassQueue`] for `k ≥ 3`, plus proptests sweeping
+//! push/pop/snapshot-restore interleavings and asserting each live queue
+//! is drain-identical to its oracle — the "bit-identical pop order"
+//! guarantee the rebuilds promise.
 //!
 //! The snapshot-restore op replays the exact `KernelSnapshot` queue
 //! protocol: the ready order captured by `SnapshotPolicy::ready_order()`
@@ -11,7 +12,9 @@
 //! (identical ρ, tie key and — for the priority rule — priority) must
 //! survive any number of such round trips.
 
-use heteroprio_core::{AffinityQueue, Instance, QueueTieBreak, ResourceKind, Task, TaskId};
+use heteroprio_core::{
+    AffinityQueue, ClassId, ClassQueue, Instance, QueueTieBreak, ResourceKind, Task, TaskId,
+};
 use proptest::prelude::*;
 
 /// Frozen copy of the `BTreeSet`-based `AffinityQueue` exactly as it stood
@@ -97,6 +100,135 @@ mod frozen {
 }
 
 use frozen::FrozenAffinityQueue;
+
+/// Frozen copy of the `k ≥ 3` `ClassQueue` exactly as it stood before
+/// lazy deletion: one `BTreeSet` per class pair, a per-task `Vec` of keys,
+/// and a pop that eagerly removes the task from every other pair. Do not
+/// fix or modernise: this is the oracle the live queue must reproduce.
+mod frozen_class {
+    use super::frozen::Ord64;
+    use heteroprio_core::queue::PopSide;
+    use heteroprio_core::{ClassId, Instance, QueueTieBreak, TaskId};
+    use std::collections::BTreeSet;
+
+    type Key = (Ord64, Ord64, u64, TaskId);
+
+    #[derive(Clone, Debug)]
+    pub struct FrozenClassQueue {
+        tie: QueueTieBreak,
+        k: usize,
+        pairs: Vec<BTreeSet<Key>>,
+        keys: Vec<Option<Vec<Key>>>,
+        live: usize,
+        seq: u64,
+    }
+
+    impl FrozenClassQueue {
+        pub fn new(k: usize, tie: QueueTieBreak) -> Self {
+            assert!(k >= 3, "the frozen oracle covers the k >= 3 path");
+            FrozenClassQueue {
+                tie,
+                k,
+                pairs: vec![BTreeSet::new(); k * (k - 1) / 2],
+                keys: Vec::new(),
+                live: 0,
+                seq: 0,
+            }
+        }
+
+        fn pair_index(&self, a: usize, b: usize) -> usize {
+            a * (2 * self.k - a - 1) / 2 + (b - a - 1)
+        }
+
+        fn pair_indices(k: usize) -> impl Iterator<Item = usize> {
+            (0..k)
+                .flat_map(move |a| ((a + 1)..k).map(move |b| a * (2 * k - a - 1) / 2 + (b - a - 1)))
+        }
+
+        pub fn push(&mut self, instance: &Instance, task: TaskId) {
+            let t = instance.task(task);
+            let seq = self.seq;
+            self.seq += 1;
+            let mut keys = Vec::with_capacity(self.k - 1);
+            for a in 0..self.k {
+                for b in (a + 1)..self.k {
+                    let rho = t.try_affinity(ClassId::from(a), ClassId::from(b)).unwrap();
+                    let tie = match self.tie {
+                        QueueTieBreak::Priority => {
+                            if rho >= 1.0 {
+                                -t.priority
+                            } else {
+                                t.priority
+                            }
+                        }
+                        QueueTieBreak::InsertionOrder => 0.0,
+                    };
+                    let key = (Ord64(-rho), Ord64(tie), seq, task);
+                    let idx = self.pair_index(a, b);
+                    self.pairs[idx].insert(key);
+                    keys.push(key);
+                }
+            }
+            if self.keys.len() <= task.index() {
+                self.keys.resize(task.index() + 1, None);
+            }
+            self.keys[task.index()] = Some(keys);
+            self.live += 1;
+        }
+
+        pub fn pop(&mut self, class: ClassId) -> Option<(TaskId, PopSide)> {
+            let c = class.index();
+            let mut best: Option<(f64, usize, PopSide, Key)> = None;
+            for d in 0..self.k {
+                if d == c {
+                    continue;
+                }
+                let (a, b) = (c.min(d), c.max(d));
+                let idx = self.pair_index(a, b);
+                let set = &self.pairs[idx];
+                let (key, side) = if c == b {
+                    (set.first(), PopSide::Front)
+                } else {
+                    (set.last(), PopSide::Back)
+                };
+                let Some(&key) = key else { continue };
+                let rho = -(key.0).0;
+                let advantage = match side {
+                    PopSide::Front => rho,
+                    PopSide::Back => 1.0 / rho,
+                };
+                let better = match &best {
+                    None => true,
+                    Some((adv, ..)) => advantage > *adv,
+                };
+                if better {
+                    best = Some((advantage, idx, side, key));
+                }
+            }
+            let (_, winner_idx, side, key) = best?;
+            let task = key.3;
+            self.pairs[winner_idx].remove(&key);
+            let keys = self.keys[task.index()].take().unwrap();
+            for (idx, k) in Self::pair_indices(self.k).zip(&keys) {
+                if idx != winner_idx {
+                    self.pairs[idx].remove(k);
+                }
+            }
+            self.live -= 1;
+            Some((task, side))
+        }
+
+        pub fn len(&self) -> usize {
+            self.live
+        }
+
+        pub fn iter(&self) -> impl Iterator<Item = TaskId> + '_ {
+            self.pairs[0].iter().map(|&(_, _, _, task)| task)
+        }
+    }
+}
+
+use frozen_class::FrozenClassQueue;
 
 /// Discrete time/priority tables: small enough that generated instances
 /// are dense in ρ collisions (exact FIFO ties), same-octave neighbours
@@ -201,6 +333,89 @@ fn check_script(tie: QueueTieBreak, specs: &[(usize, usize, usize)], ops: &[(u8,
     prop_assert_eq!(oracle.len(), 0);
 }
 
+/// A `k`-class instance over the same tables: each spec is `k` time
+/// indices and a priority index.
+fn build_instance_k(k: usize, specs: &[(Vec<usize>, usize)]) -> Instance {
+    let mut inst = Instance::new();
+    for (times, p) in specs {
+        let row: Vec<f64> = (0..k).map(|c| TIMES[times[c % times.len()] % TIMES.len()]).collect();
+        inst.push(Task::from_times(&row).with_priority(PRIORITIES[p % PRIORITIES.len()]));
+    }
+    inst
+}
+
+/// Drive the live `ClassQueue` and its frozen oracle at `k ≥ 3` through
+/// one op script: pushes of tasks not currently queued (a ready set holds
+/// each task once; popped tasks may come back, as after a restore), pops
+/// for every class, and snapshot-restore round trips that re-push the
+/// `iter()` order into fresh queues. Pops, lengths and the snapshot order
+/// must agree at every step.
+fn check_class_script(
+    k: usize,
+    tie: QueueTieBreak,
+    specs: &[(Vec<usize>, usize)],
+    ops: &[(u8, usize)],
+) {
+    let inst = build_instance_k(k, specs);
+    let n = inst.len();
+    let mut live = ClassQueue::new(k, tie);
+    let mut oracle = FrozenClassQueue::new(k, tie);
+    let mut queued = vec![false; n];
+    for (step, &(op, sel)) in ops.iter().enumerate() {
+        match op {
+            0 | 1 => {
+                let t = sel % n;
+                if !queued[t] {
+                    queued[t] = true;
+                    live.push(&inst, TaskId(t as u32));
+                    oracle.push(&inst, TaskId(t as u32));
+                }
+            }
+            2 | 3 => {
+                let class = ClassId::from(sel % k);
+                let (got, want) = (live.pop(class), oracle.pop(class));
+                prop_assert_eq!(
+                    got,
+                    want,
+                    "pop for {} diverged at step {} ({:?})",
+                    class,
+                    step,
+                    tie
+                );
+                if let Some((t, _)) = got {
+                    queued[t.index()] = false;
+                }
+            }
+            _ => {
+                let saved: Vec<TaskId> = live.iter().collect();
+                let (mut l, mut o) = (ClassQueue::new(k, tie), FrozenClassQueue::new(k, tie));
+                for &t in &saved {
+                    l.push(&inst, t);
+                    o.push(&inst, t);
+                }
+                (live, oracle) = (l, o);
+            }
+        }
+        prop_assert_eq!(live.len(), oracle.len());
+        prop_assert_eq!(
+            live.iter().collect::<Vec<_>>(),
+            oracle.iter().collect::<Vec<_>>(),
+            "iteration (snapshot) order diverged at step {} ({:?})",
+            step,
+            tie
+        );
+    }
+    // Full drain, cycling the classes, must empty both identically.
+    for class in (0..k).cycle() {
+        let (got, want) = (live.pop(ClassId::from(class)), oracle.pop(ClassId::from(class)));
+        prop_assert_eq!(got, want, "final drain diverged ({:?})", tie);
+        if got.is_none() {
+            break;
+        }
+    }
+    prop_assert_eq!(oracle.len(), 0);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -252,5 +467,19 @@ proptest! {
                 prop_assert_eq!(bucketed.pop(ResourceKind::Cpu), oracle.pop(ResourceKind::Cpu));
             }
         }
+    }
+
+    // The lazily-deleting `ClassQueue` is drain-identical to the frozen
+    // eager-removal `BTreeSet` implementation at k = 3 and k = 4, under
+    // arbitrary push/pop/snapshot-restore interleavings and both tie rules.
+    #[test]
+    fn class_queue_matches_frozen_eager_oracle(
+        k in 3usize..5,
+        specs in prop::collection::vec(
+            (prop::collection::vec(0usize..8, 4..5), 0usize..4), 1..24),
+        ops in prop::collection::vec((0u8..5, 0usize..32), 1..160),
+    ) {
+        check_class_script(k, QueueTieBreak::Priority, &specs, &ops);
+        check_class_script(k, QueueTieBreak::InsertionOrder, &specs, &ops);
     }
 }

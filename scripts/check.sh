@@ -18,6 +18,9 @@ cargo run -q -p heteroprio-lint --bin audit-lint
 echo "== cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "== perfbench self-tests (every workload reports every declared metric; a wrong digest fails every op)"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "== cargo doc --no-deps (warnings are errors)"
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 

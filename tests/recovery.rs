@@ -13,7 +13,7 @@ use heteroprio::core::kernel::EngineError;
 use heteroprio::core::{
     heteroprio_durable, heteroprio_resume, heteroprio_traced, CheckpointStore, CrashPlan,
     DurabilityOptions, HeteroPrioConfig, HeteroPrioResult, Instance, MemCheckpointStore, Platform,
-    TaskRun,
+    QueueTieBreak, Task, TaskRun,
 };
 use heteroprio::metrics::NullRegistry;
 use heteroprio::schedulers::HeteroPrioDagPolicy;
@@ -25,7 +25,7 @@ use heteroprio::taskgraph::{apply_bottom_level_priorities, cholesky, WeightSchem
 use heteroprio::trace::{
     event_line, FileJournal, Journal, JournalSink, MemJournal, SchedEvent, TeeSink, VecSink,
 };
-use heteroprio::workloads::ChameleonTiming;
+use heteroprio::workloads::{three_class_platform, ChameleonTiming};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -114,6 +114,40 @@ fn independent_engine_recovers_from_every_crash_point() {
                 crash_at,
                 checkpoint_every,
             );
+        }
+    }
+}
+
+/// Every crash point on the three-class platform, journal-only and
+/// checkpointed, under both queue tie rules. The instance is dense in
+/// ties within every class pair, so a checkpoint must carry each pair's
+/// FIFO order, not just the `(cpu, gpu)` pair's, to restore bit for bit.
+#[test]
+fn independent_engine_recovers_from_every_crash_point_on_three_classes() {
+    let (_, platform) = three_class_platform();
+    let rows: Vec<[f64; 3]> = (0..40)
+        .map(|i| [1.0 + (i % 2) as f64, 0.5 + 0.5 * (i % 5) as f64, 1.0 + ((i / 2) % 3) as f64])
+        .collect();
+    let mut instance = Instance::new();
+    for (i, row) in rows.iter().enumerate() {
+        instance.push(Task::from_times(row).with_priority((i % 2) as f64));
+    }
+    for queue_tie in [QueueTieBreak::Priority, QueueTieBreak::InsertionOrder] {
+        let config = HeteroPrioConfig { queue_tie, ..HeteroPrioConfig::new() };
+        let reference = independent_reference(&instance, &platform, &config);
+        let total = reference.0.len() as u64;
+        assert!(total > 0);
+        for crash_at in 1..=total {
+            for checkpoint_every in [None, Some(4)] {
+                crash_resume_independent(
+                    &instance,
+                    &platform,
+                    &config,
+                    &reference,
+                    crash_at,
+                    checkpoint_every,
+                );
+            }
         }
     }
 }
