@@ -8,6 +8,7 @@ use heteroprio_core::proven_upper_bound;
 use heteroprio_core::schedule::{Schedule, TaskRun};
 use heteroprio_core::time::{approx_eq, strictly_less, F64Ord};
 use heteroprio_trace::{Decision, QueueEnd, SchedEvent};
+use std::collections::BTreeMap;
 
 /// What kind of execution produced the artifacts under audit. The queue
 /// discipline rules only apply to HeteroPrio itself (DualHP and plain list
@@ -240,6 +241,11 @@ pub(crate) fn check_approx_ratio(
     });
 }
 
+/// Task `t`'s acceleration factor as a [`Replay`] ρ-multiset key.
+fn rho_key(instance: &Instance, t: usize) -> F64Ord {
+    F64Ord::new(instance.task(TaskId(t as u32)).accel_factor())
+}
+
 /// One task currently executing on a worker, as seen by the replay.
 #[derive(Clone, Copy)]
 struct Running {
@@ -267,6 +273,11 @@ pub(crate) struct Replay<'a> {
     max_overhead: f64,
     ready: Vec<bool>,
     ready_count: usize,
+    /// Multiset of the ready tasks' ρ (value → multiplicity), kept only
+    /// where the pop-order rule reads it: two classes, and every ρ finite
+    /// and non-negative (the precondition of the extreme-ρ test in
+    /// [`Replay::check_pop`]).
+    ready_rho: Option<BTreeMap<F64Ord, u32>>,
     running: Vec<Option<Running>>,
     idle: Vec<bool>,
     alive: Vec<bool>,
@@ -289,12 +300,18 @@ pub(crate) struct Replay<'a> {
 
 impl<'a> Replay<'a> {
     pub(crate) fn new(instance: &'a Instance, platform: &'a Platform, max_overhead: f64) -> Self {
+        let rho_ordered = platform.k() == 2
+            && instance.tasks().iter().all(|t| {
+                let rho = t.accel_factor();
+                rho.is_finite() && rho >= 0.0
+            });
         Replay {
             instance,
             platform,
             max_overhead,
             ready: vec![false; instance.len()],
             ready_count: 0,
+            ready_rho: rho_ordered.then(BTreeMap::new),
             running: vec![None; platform.workers()],
             idle: vec![false; platform.workers()],
             alive: vec![true; platform.workers()],
@@ -310,12 +327,60 @@ impl<'a> Replay<'a> {
         for e in events {
             self.push(e, report);
         }
+        self.close(schedule, report);
+    }
+
+    /// Close the books once the stream has ended: the state at the last
+    /// instant is settled too (no later event will advance time past it),
+    /// so the list property must hold in it; then reconcile the aborts
+    /// against the final [`Schedule`].
+    pub(crate) fn close(&mut self, schedule: &Schedule, report: &mut AuditReport) {
+        if self.now.is_finite() {
+            self.check_no_idle(self.now, self.index.saturating_sub(1), report);
+        }
         self.reconcile_aborts(schedule, report);
+    }
+
+    /// Add task `t` to the ready set (a no-op if it is already there).
+    fn mark_ready(&mut self, t: usize) {
+        if self.ready[t] {
+            return;
+        }
+        self.ready[t] = true;
+        self.ready_count = self.ready_count.checked_add(1).expect("ready tasks fit in usize");
+        if let Some(set) = &mut self.ready_rho {
+            let n = set.entry(rho_key(self.instance, t)).or_insert(0);
+            *n = n.checked_add(1).expect("ready tasks fit in u32");
+        }
+    }
+
+    /// Remove task `t` from the ready set (a no-op if it is not there).
+    fn unmark_ready(&mut self, t: usize) {
+        if !self.ready[t] {
+            return;
+        }
+        self.ready[t] = false;
+        self.ready_count = self.ready_count.checked_sub(1).expect("guarded by self.ready[t]");
+        if let Some(set) = &mut self.ready_rho {
+            let key = rho_key(self.instance, t);
+            match set.get_mut(&key) {
+                Some(n) if *n > 1 => *n -= 1,
+                _ => {
+                    set.remove(&key);
+                }
+            }
+        }
     }
 
     /// Feed one event: time-monotonicity, the settled-state list property
     /// when time advances, then the per-event rules.
     pub(crate) fn push(&mut self, e: &SchedEvent, report: &mut AuditReport) {
+        let i = self.advance(e, report);
+        self.step(i, e, report);
+    }
+
+    /// The time bookkeeping of [`Replay::push`]; returns the event's index.
+    fn advance(&mut self, e: &SchedEvent, report: &mut AuditReport) -> usize {
         let i = self.index;
         self.index += 1;
         if matches!(e, SchedEvent::QueuePop { .. }) {
@@ -338,7 +403,7 @@ impl<'a> Replay<'a> {
             self.check_no_idle(now, i.saturating_sub(1), report);
         }
         self.now = self.now.max(t);
-        self.step(i, e, report);
+        i
     }
 
     /// Lemma 3's list property: once all same-timestamp activity has
@@ -364,11 +429,7 @@ impl<'a> Replay<'a> {
         match *e {
             SchedEvent::TaskReady { time, task } => {
                 let Some(t) = self.task_index(i, time, task, report) else { return };
-                if !self.ready[t] {
-                    self.ready[t] = true;
-                    self.ready_count =
-                        self.ready_count.checked_add(1).expect("ready tasks fit in usize");
-                }
+                self.mark_ready(t);
             }
             SchedEvent::QueuePop { time, task, worker, end } => {
                 self.check_pop(i, time, task, worker, Some(end), report);
@@ -400,12 +461,10 @@ impl<'a> Replay<'a> {
                             ),
                         });
                     }
-                } else if self.ready[t] {
-                    // Streams without pop/pick events reach here; with them
-                    // the ready slot was already cleared at the pop.
-                    self.ready[t] = false;
-                    self.ready_count =
-                        self.ready_count.checked_sub(1).expect("guarded by self.ready[t]");
+                } else {
+                    // Streams without pop/pick events clear the ready slot
+                    // here; with them it was already cleared at the pop.
+                    self.unmark_ready(t);
                 }
                 if self.running[w].is_some() {
                     report.violations.push(Violation {
@@ -519,11 +578,13 @@ impl<'a> Replay<'a> {
         }
         if two_class {
             let kind = self.platform.kind_of(WorkerId(worker));
+            // GPUs pop the max-ρ front, CPUs the min-ρ back.
+            let expected = match kind {
+                ResourceKind::Gpu => QueueEnd::Front,
+                ResourceKind::Cpu => QueueEnd::Back,
+            };
+            let front = expected == QueueEnd::Front;
             if let Some(end) = end {
-                let expected = match kind {
-                    ResourceKind::Gpu => QueueEnd::Front,
-                    ResourceKind::Cpu => QueueEnd::Back,
-                };
                 if end != expected {
                     report.violations.push(Violation {
                         rule: Rule::PopOrderConsistency,
@@ -537,33 +598,50 @@ impl<'a> Replay<'a> {
                 }
             }
             let rho = self.instance.task(TaskId(task)).accel_factor();
-            for (u, &ready) in self.ready.iter().enumerate() {
-                if !ready || u == t {
-                    continue;
+            // Would a ready task of acceleration factor `rho_u` have been
+            // strictly better for this end?
+            let better = |rho_u: f64| {
+                if front {
+                    strictly_less(rho, rho_u)
+                } else {
+                    strictly_less(rho_u, rho)
                 }
-                let rho_u = self.instance.task(TaskId(u as u32)).accel_factor();
-                let better = match kind {
-                    ResourceKind::Gpu => strictly_less(rho, rho_u),
-                    ResourceKind::Cpu => strictly_less(rho_u, rho),
-                };
-                if better {
-                    report.violations.push(Violation {
-                        rule: Rule::PopOrderConsistency,
-                        event_index: Some(i),
-                        time: Some(time),
-                        worker: Some(worker),
-                        message: format!(
-                            "{kind} worker popped task {task} (rho {rho}) while task {u} \
-                             (rho {rho_u}) was ready"
-                        ),
-                    });
-                    break;
+            };
+            // For finite non-negative operands `strictly_less(a, b)` is
+            // non-decreasing in `b` and non-increasing in `a`, so some ready
+            // task is strictly better exactly when the extreme ready ρ is
+            // (`t`'s own ρ never beats itself). The index-order scan below
+            // then only runs on a violating pop, to name the first such task.
+            let beaten = match &self.ready_rho {
+                Some(set) => {
+                    let extreme = if front { set.last_key_value() } else { set.first_key_value() };
+                    extreme.is_some_and(|(key, _)| better(key.0))
+                }
+                None => true,
+            };
+            if beaten {
+                for (u, &ready) in self.ready.iter().enumerate() {
+                    if !ready || u == t {
+                        continue;
+                    }
+                    let rho_u = self.instance.task(TaskId(u as u32)).accel_factor();
+                    if better(rho_u) {
+                        report.violations.push(Violation {
+                            rule: Rule::PopOrderConsistency,
+                            event_index: Some(i),
+                            time: Some(time),
+                            worker: Some(worker),
+                            message: format!(
+                                "{kind} worker popped task {task} (rho {rho}) while task {u} \
+                                 (rho {rho_u}) was ready"
+                            ),
+                        });
+                        break;
+                    }
                 }
             }
         }
-        self.ready[t] = false;
-        self.ready_count =
-            self.ready_count.checked_sub(1).expect("guarded by the ready-set check above");
+        self.unmark_ready(t);
     }
 
     /// §3 spoliation preconditions, checked at the `Spoliation` event.
@@ -667,7 +745,7 @@ impl<'a> Replay<'a> {
 
     /// Every abort the trace reports must appear in `schedule.aborted` and
     /// vice versa (same task, worker and end time).
-    pub(crate) fn reconcile_aborts(&mut self, schedule: &Schedule, report: &mut AuditReport) {
+    fn reconcile_aborts(&mut self, schedule: &Schedule, report: &mut AuditReport) {
         report.checks += 1;
         let mut from_schedule: Vec<(u32, u32, f64)> =
             schedule.aborted.iter().map(|r| (r.task.0, r.worker.0, r.end)).collect();
@@ -840,6 +918,9 @@ pub fn schedule_from_events(events: &[SchedEvent]) -> Schedule {
 }
 
 #[cfg(test)]
+mod pop_parity;
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use heteroprio_core::heteroprio::{heteroprio_traced, HeteroPrioConfig};
@@ -915,6 +996,38 @@ mod tests {
         assert!(report.violations.iter().any(|v| v.rule == Rule::ApproxRatioCertificate));
         let cert = report.certificate.expect("certificate reported");
         assert!(cert.ratio > 20.0);
+    }
+
+    /// The list property at the last instant: no later event advances time
+    /// past it, so only the closing check sees worker 0 idle while task 1
+    /// is ready.
+    #[test]
+    fn idle_with_ready_work_at_the_final_instant_fires() {
+        let inst = Instance::from_times(&[(4.0, 1.0), (4.0, 1.0)]);
+        let plat = Platform::new(1, 1);
+        let events = vec![
+            SchedEvent::TaskReady { time: 0.0, task: 0 },
+            SchedEvent::QueuePop { time: 0.0, task: 0, worker: 1, end: QueueEnd::Front },
+            SchedEvent::TaskStart { time: 0.0, task: 0, worker: 1, expected_end: 1.0 },
+            SchedEvent::WorkerIdleBegin { time: 0.0, worker: 0 },
+            SchedEvent::TaskComplete { time: 1.0, task: 0, worker: 1 },
+            SchedEvent::TaskReady { time: 1.0, task: 1 },
+        ];
+        let schedule = schedule_from_events(&events);
+        let batch = audit(&inst, &plat, &schedule, &events, &AuditOptions::independent());
+        let mut auditor = crate::StreamAuditor::new(&inst, &plat, AuditOptions::independent());
+        for &e in &events {
+            heteroprio_trace::TraceSink::emit(&mut auditor, e);
+        }
+        let streamed = auditor.finish(&schedule);
+        for report in [&batch, &streamed] {
+            let idle: Vec<&Violation> =
+                report.violations.iter().filter(|v| v.rule == Rule::NoIdleWithReadyWork).collect();
+            assert_eq!(idle.len(), 1, "{}", report.render());
+            assert_eq!(idle[0].worker, Some(0));
+            assert_eq!(idle[0].event_index, Some(5), "pinned to the last event");
+            assert_eq!(idle[0].time, Some(1.0));
+        }
     }
 
     #[test]

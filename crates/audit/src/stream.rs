@@ -74,11 +74,12 @@ impl<'a> StreamAuditor<'a> {
         self.streamed.events
     }
 
-    /// Close the books against the completed run's [`Schedule`]: abort
-    /// reconciliation, well-formedness, the DualHP rules (when enabled) and
-    /// the certificate checks — everything that needs the whole run. The
-    /// returned report contains the streamed violations too, in the same
-    /// section order as a batch [`crate::audit`] of the recorded stream.
+    /// Close the books against the completed run's [`Schedule`]: the list
+    /// property at the final instant, abort reconciliation, well-formedness,
+    /// the DualHP rules (when enabled) and the certificate checks —
+    /// everything that needs the whole run. The returned report contains the
+    /// streamed violations too, in the same section order as a batch
+    /// [`crate::audit`] of the recorded stream.
     pub fn finish(mut self, schedule: &Schedule) -> AuditReport {
         let mut report = AuditReport { events: self.streamed.events, ..AuditReport::default() };
         check_well_formed(self.instance, self.platform, schedule, &self.opts, &mut report);
@@ -95,7 +96,7 @@ impl<'a> StreamAuditor<'a> {
                     .push((rule, "trace has no queue events (reconstructed from schedule)".into()));
             }
         } else {
-            self.replay.reconcile_aborts(schedule, &mut self.streamed);
+            self.replay.close(schedule, &mut self.streamed);
             report.checks += self.streamed.checks;
             self.streamed.checks = 0;
             report.violations.append(&mut self.streamed.violations);
@@ -150,7 +151,13 @@ impl TraceSink for StreamAuditor<'_> {
 mod tests {
     use super::*;
     use heteroprio_core::{heteroprio_traced, HeteroPrioConfig};
+    use heteroprio_schedulers::HeteroPrioDagPolicy;
+    use heteroprio_simulator::{simulate_traced, TransferModel};
+    use heteroprio_taskgraph::{
+        apply_bottom_level_priorities, cholesky, Factorization, WeightScheme,
+    };
     use heteroprio_trace::{QueueEnd, TeeSink, VecSink};
+    use heteroprio_workloads::{independent_instance, paper_platform, ChameleonTiming};
 
     fn fig1_instance() -> Instance {
         Instance::from_times(&[
@@ -183,6 +190,57 @@ mod tests {
         assert_eq!(streamed.events, batch.events);
         assert_eq!(streamed.skipped, batch.skipped);
         assert_eq!(streamed.certificate, batch.certificate);
+    }
+
+    /// Audit one traced run both ways: streamed while `run` executes, and
+    /// batch over the recorded stream. Returns `(streamed, batch)`.
+    fn stream_and_batch<'a>(
+        inst: &'a Instance,
+        plat: &'a Platform,
+        opts: AuditOptions,
+        run: impl FnOnce(&mut TeeSink<&mut VecSink, &mut StreamAuditor<'a>>) -> Schedule,
+    ) -> (AuditReport, AuditReport) {
+        let mut sink = VecSink::new();
+        let mut auditor = StreamAuditor::new(inst, plat, opts.clone());
+        let schedule = run(&mut TeeSink(&mut sink, &mut auditor));
+        let batch = crate::audit(inst, plat, &schedule, &sink.events, &opts);
+        (auditor.finish(&schedule), batch)
+    }
+
+    fn assert_stream_matches_batch(streamed: &AuditReport, batch: &AuditReport) {
+        assert!(streamed.is_clean(), "{}", streamed.render());
+        assert_eq!(streamed.violations, batch.violations);
+        assert_eq!(streamed.checks, batch.checks);
+        assert_eq!(streamed.events, batch.events);
+        assert_eq!(streamed.skipped, batch.skipped);
+        assert_eq!(streamed.certificate, batch.certificate);
+    }
+
+    /// Fig. 6 at paper scale: the Cholesky N=16 kernel set as independent
+    /// tasks on the paper's 20 CPU + 4 GPU platform.
+    #[test]
+    fn paper_scale_independent_run_streams_like_batch() {
+        let inst = independent_instance(Factorization::Cholesky, 16, &ChameleonTiming);
+        let plat = paper_platform();
+        let (streamed, batch) = stream_and_batch(&inst, &plat, AuditOptions::independent(), |s| {
+            heteroprio_traced(&inst, &plat, &HeteroPrioConfig::new(), s).schedule
+        });
+        assert_stream_matches_batch(&streamed, &batch);
+    }
+
+    /// Fig. 7 at paper scale: the Cholesky N=16 task graph, bottom-level
+    /// priorities, through the DAG simulator on 20 CPUs + 4 GPUs.
+    #[test]
+    fn paper_scale_dag_run_streams_like_batch() {
+        let mut graph = cholesky(16, &ChameleonTiming);
+        apply_bottom_level_priorities(&mut graph, WeightScheme::Min);
+        let plat = paper_platform();
+        let opts = AuditOptions::dag_run(0.0, None);
+        let (streamed, batch) = stream_and_batch(graph.instance(), &plat, opts, |s| {
+            let mut policy = HeteroPrioDagPolicy::new(HeteroPrioConfig::new());
+            simulate_traced(&graph, &plat, &mut policy, &TransferModel::NONE, s).schedule
+        });
+        assert_stream_matches_batch(&streamed, &batch);
     }
 
     /// A corrupted stream replayed *into* the auditor: the violation must be

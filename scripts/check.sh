@@ -41,6 +41,9 @@ cargo run -q -p heteroprio-cli -- schedule --cpus 2 --gpus 1 --audit \
 cargo run -q -p heteroprio-cli -- audit --cpus 2 --gpus 1 \
     --trace "$tmp/trace.jsonl" "$tmp/instance.txt"
 cargo run -q -p heteroprio-cli -- audit cholesky 8 --cpus 2 --gpus 1
+# Paper scale (Cholesky N=32 on 20 CPUs + 4 GPUs), on the release binary
+# the perf step already built.
+cargo run -q --release -p heteroprio-cli -- audit cholesky 32 --cpus 20 --gpus 4
 
 echo "== recovery smoke: journal a run, kill it mid-flight, resume, diff traces"
 cargo run -q -p heteroprio-cli -- schedule --cpus 2 --gpus 1 \
