@@ -242,9 +242,19 @@ impl Parser<'_> {
                     self.i += 1;
                 }
                 Some(_) => {
-                    let rest = &self.b[self.i..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
+                    // One character from its own bytes (at most four), so a
+                    // string costs time linear in its length.
+                    let chunk = &self.b[self.i..self.b.len().min(self.i + 4)];
+                    let s = match std::str::from_utf8(chunk) {
+                        Ok(s) => s,
+                        Err(e) => {
+                            std::str::from_utf8(&chunk[..e.valid_up_to()]).expect("valid prefix")
+                        }
+                    };
+                    let c = s
+                        .chars()
+                        .next()
+                        .ok_or_else(|| format!("invalid UTF-8 at byte {}", self.i))?;
                     out.push(c);
                     self.i += c.len_utf8();
                 }
@@ -327,6 +337,14 @@ mod tests {
         assert!(parse("1e3").is_err());
         assert!(parse("{} junk").is_err());
         assert!(parse("{\"a\": }").is_err());
+    }
+
+    #[test]
+    fn parses_multi_byte_and_long_strings() {
+        let text = "ünïcødé → 𝄞 ".repeat(20_000);
+        let doc = Value::Obj(vec![("note".into(), Value::Str(text.clone()))]).pretty();
+        let v = parse(&doc).expect("long multi-byte string parses");
+        assert_eq!(v.get("note").and_then(Value::as_str), Some(text.as_str()));
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! * [`MemJournal`] — in-memory implementation for tests and embedding;
 //! * [`FileJournal`] — file-backed implementation framing each event as a
 //!   `[len: u32 LE][crc32: u32 LE][payload]` record, where the payload is
-//!   the event's canonical JSONL line ([`crate::jsonl::event_line`]);
+//!   the event's canonical JSONL line ([`crate::jsonl::event_line`]),
+//!   encoded into a reused buffer, and the CRC-32 is computed eight bytes
+//!   per step ([`crc32`], slicing-by-8);
 //! * [`JournalSink`] — a [`TraceSink`] adapter appending every emitted
 //!   event, so any instrumented engine journals without modification.
 //!
@@ -17,12 +19,19 @@
 //! keeps the longest valid prefix of records, truncates the damage away and
 //! reports it precisely as a typed [`JournalDamage`] instead of failing.
 //!
+//! Payloads are decoded strictly, as canonical lines
+//! ([`crate::jsonl::parse_event_line`]): only [`FileJournal`] writes them,
+//! so a payload that passes its CRC but differs from the canonical byte
+//! shape — whitespace, reordered or extra keys, escapes — is
+//! [`DamageKind::BadPayload`], with a detail naming the payload byte and the
+//! token expected there.
+//!
 //! All durable writes in the workspace must go through this module — the
 //! audit lint (`raw-journal-io`) flags raw `std::fs` writes aimed at
 //! journal paths elsewhere, so the CRC framing and fsync discipline cannot
 //! be bypassed.
 
-use crate::jsonl::{event_line, parse_event_line};
+use crate::jsonl::{decode_event_line, write_event_line};
 use crate::{SchedEvent, TraceSink};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -34,10 +43,13 @@ pub const MAGIC: &[u8; 6] = b"HPJL1\n";
 /// bytes; anything claiming more is a corrupt length field, not a record.
 const MAX_PAYLOAD: u32 = 1 << 20;
 
-const CRC_TABLE: [u32; 256] = crc_table();
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the classic bytewise table, and
+/// `CRC_TABLES[k][b]` is the CRC contribution of byte `b` followed by `k`
+/// zero bytes, so eight input bytes fold into the register per step.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -46,17 +58,43 @@ const fn crc_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut i = 0;
+    while i < 256 {
+        let mut k = 1;
+        while k < 8 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            k += 1;
+        }
+        i += 1;
+    }
+    tables
 }
 
-/// CRC-32 (IEEE 802.3, reflected) of `bytes`.
+/// CRC-32 (IEEE 802.3, reflected) of `bytes`, eight bytes per step
+/// (slicing-by-8). Journal records and checkpoint files share it.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC_TABLES;
+    let byte = |x: u32, shift: u32| ((x >> shift) & 0xFF) as usize;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t7[byte(lo, 0)]
+            ^ t6[byte(lo, 8)]
+            ^ t5[byte(lo, 16)]
+            ^ t4[byte(lo, 24)]
+            ^ t3[byte(hi, 0)]
+            ^ t2[byte(hi, 8)]
+            ^ t1[byte(hi, 16)]
+            ^ t0[byte(hi, 24)];
+    }
+    for &b in words.remainder() {
+        c = t0[byte(c ^ b as u32, 0)] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -102,7 +140,7 @@ pub enum DamageKind {
     BadLength,
     /// A record's payload does not match its CRC-32 (bit corruption).
     BadChecksum,
-    /// The CRC matched but the payload is not a valid event line.
+    /// The CRC matched but the payload is not a canonical event line.
     BadPayload,
 }
 
@@ -210,6 +248,9 @@ pub struct MemJournal {
     events: Vec<SchedEvent>,
     synced: usize,
     sync_calls: u64,
+    /// Reused encode buffer: an append measures its record without
+    /// allocating.
+    scratch: String,
 }
 
 impl MemJournal {
@@ -232,7 +273,9 @@ impl MemJournal {
 impl Journal for MemJournal {
     fn append(&mut self, event: &SchedEvent) -> Result<usize, JournalError> {
         self.events.push(*event);
-        Ok(8 + event_line(event).len())
+        self.scratch.clear();
+        write_event_line(&mut self.scratch, event);
+        Ok(8 + self.scratch.len())
     }
 
     fn sync(&mut self) -> Result<(), JournalError> {
@@ -297,11 +340,7 @@ fn decode_records(body: &[u8], body_start: u64) -> (Vec<SchedEvent>, u64, Option
         if crc32(payload) != crc {
             break Some(fail(DamageKind::BadChecksum, "payload CRC-32 mismatch".to_string()));
         }
-        let text = match std::str::from_utf8(payload) {
-            Ok(t) => t,
-            Err(e) => break Some(fail(DamageKind::BadPayload, format!("not UTF-8: {e}"))),
-        };
-        match parse_event_line(text) {
+        match decode_event_line(payload) {
             Ok(e) => events.push(e),
             Err(e) => break Some(fail(DamageKind::BadPayload, e)),
         }
@@ -327,6 +366,8 @@ pub struct FileJournal {
     /// Framed records not yet written to `file`.
     buf: Vec<u8>,
     sync_count: u64,
+    /// Reused encode buffer for the record being framed.
+    scratch: String,
 }
 
 impl FileJournal {
@@ -343,6 +384,7 @@ impl FileJournal {
             policy: SyncPolicy::DEFAULT,
             buf: Vec::new(),
             sync_count: 0,
+            scratch: String::new(),
         })
     }
 
@@ -382,6 +424,7 @@ impl FileJournal {
                 policy: SyncPolicy::DEFAULT,
                 buf: Vec::new(),
                 sync_count: 0,
+                scratch: String::new(),
             },
             events,
             damage,
@@ -436,11 +479,13 @@ impl Drop for FileJournal {
 
 impl Journal for FileJournal {
     fn append(&mut self, event: &SchedEvent) -> Result<usize, JournalError> {
-        let payload = event_line(event);
-        let payload = payload.as_bytes();
+        self.scratch.clear();
+        write_event_line(&mut self.scratch, event);
+        let payload = self.scratch.as_bytes();
         self.buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         self.buf.extend_from_slice(&crc32(payload).to_le_bytes());
         self.buf.extend_from_slice(payload);
+        let framed = 8 + payload.len();
         self.records += 1;
         self.since_sync += 1;
         let due = match self.policy {
@@ -453,7 +498,7 @@ impl Journal for FileJournal {
         } else if self.buf.len() >= FLUSH_THRESHOLD {
             self.flush_buf()?;
         }
-        Ok(8 + payload.len())
+        Ok(framed)
     }
 
     fn sync(&mut self) -> Result<(), JournalError> {
@@ -555,11 +600,46 @@ mod tests {
         std::env::temp_dir().join(format!("hpj_test_{}_{name}.hpj", std::process::id()))
     }
 
+    /// The bytewise CRC that slicing-by-8 replaced: the reference it is
+    /// held to.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // IEEE CRC-32 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn slicing_by_8_matches_bytewise_at_every_length_up_to_64() {
+        let data: Vec<u8> = (0..72u32).map(|i| (i.wrapping_mul(167) ^ 0xA5) as u8).collect();
+        for len in 0..=64 {
+            // Every alignment of the eight-byte steps against the buffer.
+            for start in 0..8 {
+                let bytes = &data[start..start + len];
+                assert_eq!(crc32(bytes), crc32_bytewise(bytes), "len {len}, start {start}");
+            }
+        }
+        assert_eq!(crc32(&[0xFF; 64]), crc32_bytewise(&[0xFF; 64]));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn slicing_by_8_matches_bytewise_on_random_buffers(
+            bytes in proptest::prop::collection::vec(0u8..=255, 0..1500),
+        ) {
+            proptest::prop_assert_eq!(crc32(&bytes), crc32_bytewise(&bytes));
+        }
     }
 
     #[test]
@@ -655,6 +735,31 @@ mod tests {
         );
         // The valid prefix is intact.
         assert_eq!(recovered, events[..recovered.len()].to_vec());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn non_canonical_payload_is_bad_payload_naming_the_byte() {
+        let path = tmp("loose");
+        let good = crate::jsonl::event_line(&sample_events()[0]);
+        // Valid JSON with a correct CRC, but not the canonical byte shape.
+        let loose = r#"{"type":"task_ready", "time":0,"task":1}"#;
+        let mut bytes = MAGIC.to_vec();
+        for payload in [good.as_str(), loose] {
+            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&crc32(payload.as_bytes()).to_le_bytes());
+            bytes.extend_from_slice(payload.as_bytes());
+        }
+        std::fs::write(&path, &bytes).unwrap();
+        let (recovered, damage) = FileJournal::recover(&path).unwrap();
+        assert_eq!(recovered, sample_events()[..1].to_vec());
+        let damage = damage.expect("a non-canonical payload is damage");
+        assert_eq!(damage.kind, DamageKind::BadPayload);
+        assert_eq!(damage.offset, (MAGIC.len() + 8 + good.len()) as u64);
+        assert!(
+            damage.detail.contains(r#"expected "\",\"time\":" at payload byte 19"#),
+            "{damage}"
+        );
         std::fs::remove_file(&path).ok();
     }
 

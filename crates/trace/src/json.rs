@@ -80,6 +80,61 @@ pub fn parse(text: &str) -> Result<Value, String> {
     Ok(v)
 }
 
+/// Scan the JSON number token starting at `start` — `-? digits (. digits)?
+/// ([eE] [+-]? digits)?`, each digit run possibly empty — and read it with
+/// `str::parse::<f64>` (short integers take an exact shortcut to the same
+/// value). Returns the value and the byte just past the token.
+/// This is the one number grammar of the crate: [`parse`] and the canonical
+/// event-line decoder both read numbers through it, so they agree on every
+/// token either accepts.
+pub(crate) fn number(bytes: &[u8], start: usize) -> Result<(f64, usize), String> {
+    let digits = |mut i: usize| {
+        while bytes.get(i).is_some_and(u8::is_ascii_digit) {
+            i += 1;
+        }
+        i
+    };
+    let negative = bytes.get(start) == Some(&b'-');
+    let int_start = start + usize::from(negative);
+    let int_end = digits(int_start);
+    if int_end == start {
+        return Err("no number token".into());
+    }
+    let mut end = int_end;
+    if bytes.get(end) == Some(&b'.') {
+        end = digits(end + 1);
+    }
+    if matches!(bytes.get(end), Some(b'e' | b'E')) {
+        end += 1;
+        if matches!(bytes.get(end), Some(b'+' | b'-')) {
+            end += 1;
+        }
+        end = digits(end);
+    }
+    // A plain integer of at most 15 digits is below 2^53, so its value is
+    // exactly the f64 `str::parse` returns: skip the general conversion.
+    if end == int_end && (1..=15).contains(&(int_end - int_start)) {
+        let n = bytes[int_start..int_end].iter().fold(0u64, |n, &d| n * 10 + u64::from(d - b'0'));
+        let x = n as f64;
+        return Ok((if negative { -x } else { x }, end));
+    }
+    let text = std::str::from_utf8(&bytes[start..end])
+        .expect("number span contains only ASCII digits, sign, dot and exponent");
+    let x = text.parse::<f64>().map_err(|e| format!("bad number {text:?}: {e}"))?;
+    Ok((x, end))
+}
+
+/// Decode the UTF-8 character starting at `pos` from its own bytes (at most
+/// four), so consuming a string costs time linear in its length.
+fn char_at(bytes: &[u8], pos: usize) -> Result<char, String> {
+    let chunk = &bytes[pos..bytes.len().min(pos + 4)];
+    let valid = match std::str::from_utf8(chunk) {
+        Ok(s) => s,
+        Err(e) => std::str::from_utf8(&chunk[..e.valid_up_to()]).expect("valid prefix"),
+    };
+    valid.chars().next().ok_or_else(|| format!("invalid UTF-8 at byte {pos}"))
+}
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -128,31 +183,9 @@ impl Parser<'_> {
     }
 
     fn number(&mut self) -> Result<Value, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number span contains only ASCII digits, sign, dot and exponent");
-        text.parse::<f64>().map(Value::Num).map_err(|e| format!("bad number {text:?}: {e}"))
+        let (x, end) = number(self.bytes, self.pos)?;
+        self.pos = end;
+        Ok(Value::Num(x))
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -195,10 +228,7 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest =
-                        std::str::from_utf8(&self.bytes[self.pos..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().expect("peek() saw at least one byte");
+                    let c = char_at(self.bytes, self.pos)?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -277,6 +307,42 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("[1] x").is_err());
         assert!(parse("").is_err());
+    }
+
+    #[test]
+    fn parses_multi_byte_and_long_strings() {
+        let text = "ünïcødé → 𝄞 ".repeat(20_000);
+        let v = parse(&format!("[\"{}\", 1]", escape(&text))).expect("long string parses");
+        assert_eq!(v.as_arr().unwrap()[0].as_str(), Some(text.as_str()));
+        assert_eq!(v.as_arr().unwrap()[1].as_f64(), Some(1.0));
+    }
+
+    #[test]
+    fn number_reads_every_token_as_str_parse_does() {
+        let mut tokens: Vec<String> = "0 -0 00 -007 1 42 4294967295 4294967296 999999999999999 \
+             9999999999999999 -123456789012345 12345678901234567890 1.5 -0.0 1e3 1E+3 1e-3 \
+             5e-324 1. 01.50 1e400 -1e400"
+            .split_whitespace()
+            .map(str::to_string)
+            .collect();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..2000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let digits = (x % 18 + 1) as usize;
+            let n = (x >> 8) % 10u64.pow(digits as u32);
+            tokens.push(format!("{:0digits$}", n));
+            tokens.push(format!("-{n}"));
+        }
+        for t in &tokens {
+            let (v, end) = number(t.as_bytes(), 0).unwrap();
+            assert_eq!(end, t.len(), "{t}");
+            assert_eq!(v.to_bits(), t.parse::<f64>().unwrap().to_bits(), "{t}");
+        }
+        for bad in ["-", "", ".5", "1e", "-e1", "x"] {
+            assert!(number(bad.as_bytes(), 0).is_err(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -1,16 +1,34 @@
-//! JSONL exporter: one JSON object per line, one line per event.
+//! JSONL exporter and the canonical event-line codec: one JSON object per
+//! line, one line per event.
 //!
 //! The flat shape is meant for ad-hoc tooling (`jq`, pandas, grep); every
-//! line carries a `"type"` tag matching [`SchedEvent::kind`].
+//! line carries a `"type"` tag matching [`SchedEvent::kind`], then `"time"`,
+//! then the kind's fields in a fixed order.
+//!
+//! * [`write_event_line`] is the encoder. It writes static key strings,
+//!   formats ids by hand and times with `{}` (`f64`'s shortest round-trip
+//!   form), allocating nothing beyond the caller's buffer. [`event_line`],
+//!   [`jsonl`] and the journal's record framing all go through it.
+//! * [`parse_event_line`] is its exact inverse, and the decoder of journal
+//!   payloads: a fixed-schema scanner that matches the `{"type":"<kind>",
+//!   "time":` prefix and each kind's keys in their fixed order, reads numbers
+//!   through the same token grammar and `str::parse::<f64>` as
+//!   [`json::parse`], checks ids like the generic path does, and builds no
+//!   [`Value`] tree. Any other byte shape is an error naming the byte offset
+//!   and the token it expected.
+//! * [`parse_jsonl`] is the lenient path for external files (`audit
+//!   --trace`): each line goes through [`json::parse`], so whitespace, key
+//!   order and extra keys do not matter.
 
 use crate::json::{self, Value};
 use crate::{Decision, QueueEnd, SchedEvent};
+use std::fmt::Write as _;
 
 /// Render an event stream as line-delimited JSON.
 pub fn jsonl(events: &[SchedEvent]) -> String {
     let mut out = String::new();
     for e in events {
-        out.push_str(&line(e));
+        write_event_line(&mut out, e);
         out.push('\n');
     }
     out
@@ -20,75 +38,293 @@ pub fn jsonl(events: &[SchedEvent]) -> String {
 /// the canonical wire form: the journal frames exactly these bytes, and
 /// [`parse_event_line`] inverts them.
 pub fn event_line(e: &SchedEvent) -> String {
-    line(e)
+    // Room for a typical line (about 80 bytes), so it is allocated once.
+    let mut out = String::with_capacity(112);
+    write_event_line(&mut out, e);
+    out
 }
 
-/// Parse one JSONL line back into an event.
-pub fn parse_event_line(text: &str) -> Result<SchedEvent, String> {
-    let v = json::parse(text)?;
-    parse_event(&v)
-}
+// The canonical line's keys, with the separators around them. The encoder
+// writes them and the decoder matches them, so the two cannot drift.
+const TYPE: &str = r#"{"type":""#;
+const TIME: &str = r#"","time":"#;
+const TASK: &str = r#","task":"#;
+const WORKER: &str = r#","worker":"#;
+const EXPECTED_END: &str = r#","expected_end":"#;
+const VICTIM: &str = r#","victim":"#;
+const THIEF: &str = r#","thief":"#;
+const WASTED_WORK: &str = r#","wasted_work":"#;
+const END: &str = r#","end":""#;
+const DECISION: &str = r#","decision":""#;
+const TARGET: &str = r#","target":"#;
+const LOST_TASK: &str = r#","lost_task":"#;
+const PERMANENT: &str = r#","permanent":"#;
+const LOST_WORK: &str = r#","lost_work":"#;
+const ATTEMPT: &str = r#","attempt":"#;
+const DELAY: &str = r#","delay":"#;
 
-fn line(e: &SchedEvent) -> String {
-    let kind = e.kind();
+/// Append `e`'s canonical line (no trailing newline) to `out`.
+pub fn write_event_line(out: &mut String, e: &SchedEvent) {
+    out.push_str(TYPE);
+    out.push_str(e.kind());
+    out.push_str(TIME);
+    push_f64(out, e.time());
     match *e {
-        SchedEvent::TaskReady { time, task } => {
-            format!(r#"{{"type":"{kind}","time":{time},"task":{task}}}"#)
+        SchedEvent::TaskReady { task, .. } => push_id(out, TASK, task),
+        SchedEvent::TaskStart { task, worker, expected_end, .. } => {
+            push_id(out, TASK, task);
+            push_id(out, WORKER, worker);
+            push_num(out, EXPECTED_END, expected_end);
         }
-        SchedEvent::TaskStart { time, task, worker, expected_end } => format!(
-            r#"{{"type":"{kind}","time":{time},"task":{task},"worker":{worker},"expected_end":{expected_end}}}"#
-        ),
-        SchedEvent::TaskComplete { time, task, worker } => {
-            format!(r#"{{"type":"{kind}","time":{time},"task":{task},"worker":{worker}}}"#)
+        SchedEvent::TaskComplete { task, worker, .. } => {
+            push_id(out, TASK, task);
+            push_id(out, WORKER, worker);
         }
-        SchedEvent::Spoliation { time, task, victim, thief, wasted_work } => format!(
-            r#"{{"type":"{kind}","time":{time},"task":{task},"victim":{victim},"thief":{thief},"wasted_work":{wasted_work}}}"#
-        ),
-        SchedEvent::WorkerIdleBegin { time, worker }
-        | SchedEvent::WorkerIdleEnd { time, worker } => {
-            format!(r#"{{"type":"{kind}","time":{time},"worker":{worker}}}"#)
+        SchedEvent::Spoliation { task, victim, thief, wasted_work, .. } => {
+            push_id(out, TASK, task);
+            push_id(out, VICTIM, victim);
+            push_id(out, THIEF, thief);
+            push_num(out, WASTED_WORK, wasted_work);
         }
-        SchedEvent::QueuePop { time, task, worker, end } => {
-            let end = match end {
-                QueueEnd::Front => "front",
-                QueueEnd::Back => "back",
-            };
-            format!(
-                r#"{{"type":"{kind}","time":{time},"task":{task},"worker":{worker},"end":"{end}"}}"#
-            )
+        SchedEvent::WorkerIdleBegin { worker, .. }
+        | SchedEvent::WorkerIdleEnd { worker, .. }
+        | SchedEvent::WorkerUp { worker, .. } => push_id(out, WORKER, worker),
+        SchedEvent::QueuePop { task, worker, end, .. } => {
+            push_id(out, TASK, task);
+            push_id(out, WORKER, worker);
+            out.push_str(END);
+            out.push_str(match end {
+                QueueEnd::Front => "front\"",
+                QueueEnd::Back => "back\"",
+            });
         }
-        SchedEvent::PolicyDecision { time, worker, decision } => {
-            let (verdict, target) = match decision {
-                Decision::Pick(t) => ("pick", Some(t)),
-                Decision::Spoliate(v) => ("spoliate", Some(v)),
-                Decision::Idle => ("idle", None),
-            };
-            match target {
-                Some(t) => format!(
-                    r#"{{"type":"{kind}","time":{time},"worker":{worker},"decision":"{verdict}","target":{t}}}"#
-                ),
-                None => format!(
-                    r#"{{"type":"{kind}","time":{time},"worker":{worker},"decision":"{verdict}"}}"#
-                ),
+        SchedEvent::PolicyDecision { worker, decision, .. } => {
+            push_id(out, WORKER, worker);
+            out.push_str(DECISION);
+            match decision {
+                Decision::Pick(t) => {
+                    out.push_str("pick\"");
+                    push_id(out, TARGET, t);
+                }
+                Decision::Spoliate(v) => {
+                    out.push_str("spoliate\"");
+                    push_id(out, TARGET, v);
+                }
+                Decision::Idle => out.push_str("idle\""),
             }
         }
-        SchedEvent::WorkerDown { time, worker, lost_task, permanent } => match lost_task {
-            Some(t) => format!(
-                r#"{{"type":"{kind}","time":{time},"worker":{worker},"lost_task":{t},"permanent":{permanent}}}"#
-            ),
-            None => format!(
-                r#"{{"type":"{kind}","time":{time},"worker":{worker},"permanent":{permanent}}}"#
-            ),
-        },
-        SchedEvent::WorkerUp { time, worker } => {
-            format!(r#"{{"type":"{kind}","time":{time},"worker":{worker}}}"#)
+        SchedEvent::WorkerDown { worker, lost_task, permanent, .. } => {
+            push_id(out, WORKER, worker);
+            if let Some(t) = lost_task {
+                push_id(out, LOST_TASK, t);
+            }
+            out.push_str(PERMANENT);
+            out.push_str(if permanent { "true" } else { "false" });
         }
-        SchedEvent::TaskFailed { time, task, worker, lost_work, attempt } => format!(
-            r#"{{"type":"{kind}","time":{time},"task":{task},"worker":{worker},"lost_work":{lost_work},"attempt":{attempt}}}"#
-        ),
-        SchedEvent::TaskRetry { time, task, attempt, delay } => format!(
-            r#"{{"type":"{kind}","time":{time},"task":{task},"attempt":{attempt},"delay":{delay}}}"#
-        ),
+        SchedEvent::TaskFailed { task, worker, lost_work, attempt, .. } => {
+            push_id(out, TASK, task);
+            push_id(out, WORKER, worker);
+            push_num(out, LOST_WORK, lost_work);
+            push_id(out, ATTEMPT, attempt);
+        }
+        SchedEvent::TaskRetry { task, attempt, delay, .. } => {
+            push_id(out, TASK, task);
+            push_id(out, ATTEMPT, attempt);
+            push_num(out, DELAY, delay);
+        }
+    }
+    out.push('}');
+}
+
+fn push_f64(out: &mut String, x: f64) {
+    // The same `Display` a `format!("{x}")` uses, so the bytes are too.
+    let _ = write!(out, "{x}");
+}
+
+fn push_num(out: &mut String, key: &str, x: f64) {
+    out.push_str(key);
+    push_f64(out, x);
+}
+
+fn push_id(out: &mut String, key: &str, id: u32) {
+    out.push_str(key);
+    let mut digits = [0u8; 10];
+    let mut at = digits.len();
+    let mut rest = id;
+    loop {
+        at -= 1;
+        digits[at] = b"0123456789"[(rest % 10) as usize];
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// Parse one canonical event line, as [`write_event_line`] writes it, back
+/// into an event. Strict: see the module docs. For lines from other
+/// writers, use [`parse_jsonl`].
+pub fn parse_event_line(text: &str) -> Result<SchedEvent, String> {
+    decode_event_line(text.as_bytes())
+}
+
+/// [`parse_event_line`] over raw bytes: the journal hands it record
+/// payloads without a UTF-8 pass, since every byte the scanner accepts is
+/// ASCII.
+pub(crate) fn decode_event_line(line: &[u8]) -> Result<SchedEvent, String> {
+    let mut s = Scanner { b: line, pos: 0 };
+    s.lit(TYPE)?;
+    let kind_at = s.pos;
+    let kind_len = line[kind_at..].iter().position(|&c| c == b'"').unwrap_or(0);
+    let kind = &line[kind_at..kind_at + kind_len];
+    s.pos += kind.len();
+    s.lit(TIME)?;
+    let time = s.num()?;
+    if !time.is_finite() {
+        return Err(format!("non-finite time {time}"));
+    }
+    let e = match kind {
+        b"task_ready" => SchedEvent::TaskReady { time, task: s.id(TASK)? },
+        b"task_start" => SchedEvent::TaskStart {
+            time,
+            task: s.id(TASK)?,
+            worker: s.id(WORKER)?,
+            expected_end: s.field(EXPECTED_END)?,
+        },
+        b"task_complete" => {
+            SchedEvent::TaskComplete { time, task: s.id(TASK)?, worker: s.id(WORKER)? }
+        }
+        b"spoliation" => SchedEvent::Spoliation {
+            time,
+            task: s.id(TASK)?,
+            victim: s.id(VICTIM)?,
+            thief: s.id(THIEF)?,
+            wasted_work: s.field(WASTED_WORK)?,
+        },
+        b"worker_idle_begin" => SchedEvent::WorkerIdleBegin { time, worker: s.id(WORKER)? },
+        b"worker_idle_end" => SchedEvent::WorkerIdleEnd { time, worker: s.id(WORKER)? },
+        b"queue_pop" => SchedEvent::QueuePop {
+            time,
+            task: s.id(TASK)?,
+            worker: s.id(WORKER)?,
+            end: {
+                s.lit(END)?;
+                if s.opt("front\"") {
+                    QueueEnd::Front
+                } else {
+                    s.lit("back\"")?;
+                    QueueEnd::Back
+                }
+            },
+        },
+        b"policy_decision" => SchedEvent::PolicyDecision {
+            time,
+            worker: s.id(WORKER)?,
+            decision: {
+                s.lit(DECISION)?;
+                if s.opt("pick\"") {
+                    Decision::Pick(s.id(TARGET)?)
+                } else if s.opt("spoliate\"") {
+                    Decision::Spoliate(s.id(TARGET)?)
+                } else {
+                    s.lit("idle\"")?;
+                    Decision::Idle
+                }
+            },
+        },
+        b"worker_down" => SchedEvent::WorkerDown {
+            time,
+            worker: s.id(WORKER)?,
+            lost_task: if s.at(LOST_TASK) { Some(s.id(LOST_TASK)?) } else { None },
+            permanent: {
+                s.lit(PERMANENT)?;
+                if s.opt("true") {
+                    true
+                } else {
+                    s.lit("false")?;
+                    false
+                }
+            },
+        },
+        b"worker_up" => SchedEvent::WorkerUp { time, worker: s.id(WORKER)? },
+        b"task_failed" => SchedEvent::TaskFailed {
+            time,
+            task: s.id(TASK)?,
+            worker: s.id(WORKER)?,
+            lost_work: s.field(LOST_WORK)?,
+            attempt: s.id(ATTEMPT)?,
+        },
+        b"task_retry" => SchedEvent::TaskRetry {
+            time,
+            task: s.id(TASK)?,
+            attempt: s.id(ATTEMPT)?,
+            delay: s.field(DELAY)?,
+        },
+        _ => {
+            return Err(format!(
+                "expected an event type at payload byte {kind_at}, found {:?}",
+                String::from_utf8_lossy(kind)
+            ))
+        }
+    };
+    s.lit("}")?;
+    if s.pos != line.len() {
+        return Err(format!("expected the end of the line at payload byte {}", s.pos));
+    }
+    Ok(e)
+}
+
+/// Cursor of the canonical-line decoder.
+struct Scanner<'a> {
+    b: &'a [u8],
+    pos: usize,
+}
+
+impl Scanner<'_> {
+    /// Whether the input continues with `token`.
+    fn at(&self, token: &str) -> bool {
+        self.b[self.pos..].starts_with(token.as_bytes())
+    }
+
+    /// Consume `token` if the input continues with it.
+    fn opt(&mut self, token: &str) -> bool {
+        let hit = self.at(token);
+        if hit {
+            self.pos += token.len();
+        }
+        hit
+    }
+
+    /// Consume `token`, which the input must continue with.
+    fn lit(&mut self, token: &str) -> Result<(), String> {
+        if self.opt(token) {
+            Ok(())
+        } else {
+            Err(format!("expected {token:?} at payload byte {}", self.pos))
+        }
+    }
+
+    fn num(&mut self) -> Result<f64, String> {
+        let (x, end) = json::number(self.b, self.pos)
+            .map_err(|e| format!("expected a number at payload byte {}: {e}", self.pos))?;
+        self.pos = end;
+        Ok(x)
+    }
+
+    /// The number after `key`, one of the key constants above.
+    fn field(&mut self, key: &str) -> Result<f64, String> {
+        self.lit(key)?;
+        self.num()
+    }
+
+    /// The id after `key`, checked as the generic path checks it.
+    fn id(&mut self, key: &str) -> Result<u32, String> {
+        let x = self.field(key)?;
+        id_value(x).ok_or_else(|| {
+            let name = key.trim_start_matches(",\"").trim_end_matches("\":");
+            format!("field {name:?} is not a valid id: {x}")
+        })
     }
 }
 
@@ -175,12 +411,17 @@ fn field_f64(v: &Value, key: &str) -> Result<f64, String> {
 
 fn field_id(v: &Value, key: &str) -> Result<u32, String> {
     let x = field_f64(v, key)?;
+    id_value(x).ok_or_else(|| format!("field {key:?} is not a valid id: {x}"))
+}
+
+/// `x` as an id: an integer in `u32` range, or `None`.
+fn id_value(x: f64) -> Option<u32> {
     // lint: allow(float-eq): fract() is exactly 0.0 for integral values, no rounding involved.
     if x.fract() != 0.0 || !(0.0..=u32::MAX as f64).contains(&x) {
-        return Err(format!("field {key:?} is not a valid id: {x}"));
+        return None;
     }
     // lint: allow(cast-trunc): fract()==0 and range-checked above, exact conversion.
-    Ok(x as u32)
+    Some(x as u32)
 }
 
 fn parse_event(v: &Value) -> Result<SchedEvent, String> {
@@ -263,6 +504,9 @@ fn parse_event(v: &Value) -> Result<SchedEvent, String> {
         other => return Err(format!("unknown event type {other:?}")),
     })
 }
+
+#[cfg(test)]
+mod parity;
 
 #[cfg(test)]
 mod tests {

@@ -55,5 +55,16 @@ cargo run -q -p heteroprio-cli -- resume --journal "$tmp/run.journal" \
     --snapshot "$tmp/run.ckpt" --cpus 2 --gpus 1 \
     --trace "$tmp/resumed.jsonl" "$tmp/instance.txt" > /dev/null
 diff "$tmp/reference.jsonl" "$tmp/resumed.jsonl"
+# Paper scale (Cholesky N=32 on 20 CPUs + 4 GPUs, crashed at its midpoint
+# event), on the release binary the perf step already built: the resume
+# decodes a real journal of ~1.3e4 records through the canonical-line decoder.
+cargo run -q --release -p heteroprio-cli -- dag cholesky 32 --cpus 20 --gpus 4 \
+    --trace "$tmp/reference32.jsonl" > /dev/null
+mid=$(( $(wc -l < "$tmp/reference32.jsonl") / 2 ))
+cargo run -q --release -p heteroprio-cli -- dag cholesky 32 --cpus 20 --gpus 4 \
+    --journal "$tmp/run32.journal" --crash-at "$mid" > /dev/null
+cargo run -q --release -p heteroprio-cli -- resume --journal "$tmp/run32.journal" \
+    --cpus 20 --gpus 4 --trace "$tmp/resumed32.jsonl" cholesky 32 > /dev/null
+diff "$tmp/reference32.jsonl" "$tmp/resumed32.jsonl"
 
 echo "all checks passed"
