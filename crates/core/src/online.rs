@@ -52,7 +52,6 @@ pub fn heteroprio_online_traced<S: TraceSink>(
     );
     let mut workload = ReleaseWorkload::new(instance, releases);
     let mut policy = OnlineQueuePolicy {
-        instance,
         config: *config,
         queue: ClassQueue::new(platform.k(), config.queue_tie),
     };
@@ -141,22 +140,25 @@ impl Workload for ReleaseWorkload<'_> {
     fn duration(&self, task: TaskId, class: ClassId, _ran_kind: &[Option<ClassId>]) -> f64 {
         self.instance.task(task).time_on(class)
     }
+
+    fn instance(&self) -> &Instance {
+        self.instance
+    }
 }
 
 /// Algorithm 1's queue discipline over an incrementally-maintained
 /// [`ClassQueue`] (arrivals insert in O(log n) instead of re-sorting; the
 /// canonical two-class platform delegates to the bucketed
 /// [`AffinityQueue`](crate::queue::AffinityQueue) unchanged).
-struct OnlineQueuePolicy<'a> {
-    instance: &'a Instance,
+struct OnlineQueuePolicy {
     config: HeteroPrioConfig,
     queue: ClassQueue,
 }
 
-impl KernelPolicy for OnlineQueuePolicy<'_> {
-    fn on_ready(&mut self, tasks: &[TaskId], _ctx: &KernelContext<'_>) {
+impl KernelPolicy for OnlineQueuePolicy {
+    fn on_ready(&mut self, tasks: &[TaskId], ctx: &KernelContext<'_>) {
         for &t in tasks {
-            self.queue.push(self.instance, t);
+            self.queue.push(ctx.instance, t);
         }
     }
 
@@ -178,7 +180,7 @@ impl KernelPolicy for OnlineQueuePolicy<'_> {
         if self.config.disable_spoliation {
             return None;
         }
-        scan_victim(self.instance, self.config.spoliation_tie, worker, ctx)
+        scan_victim(self.config.spoliation_tie, worker, ctx)
     }
 
     fn worker_order(&self) -> WorkerOrder {

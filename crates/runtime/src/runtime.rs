@@ -2,6 +2,7 @@
 
 use crate::handles::{Access, DataHandle};
 use heteroprio_bounds::dag_lower_bound;
+use heteroprio_core::kernel::{KernelPolicy, SnapshotPolicy};
 use heteroprio_core::{
     DurabilityOptions, HeteroPrioConfig, KernelSnapshot, Platform, Schedule, Task, TaskId,
 };
@@ -10,8 +11,8 @@ use heteroprio_schedulers::{
     heft, DualHpDagPolicy, DualHpRank, HeftVariant, HeteroPrioDagPolicy, PriorityListPolicy,
 };
 use heteroprio_simulator::{
-    try_resume_faulty, try_simulate_durable, try_simulate_faulty_metered, FaultPlan, OnlinePolicy,
-    SimError, SnapshotOnlinePolicy, TransferModel,
+    try_resume_faulty, try_simulate_durable, try_simulate_faulty_metered, FaultPlan, SimError,
+    TransferModel,
 };
 use heteroprio_taskgraph::{
     apply_bottom_level_priorities, check_precedence, CycleError, DagBuilder, TaskGraph,
@@ -99,7 +100,7 @@ impl DurableOutcome {
 /// Run a policy under a fault plan, optionally recording the event stream
 /// and always reporting kernel metrics into `metrics` (a
 /// [`NullRegistry`] compiles the instrumentation away).
-fn run_policy<P: OnlinePolicy, M: MetricsRegistry + ?Sized>(
+fn run_policy<P: KernelPolicy + ?Sized, M: MetricsRegistry + ?Sized>(
     graph: &TaskGraph,
     platform: &Platform,
     policy: &mut P,
@@ -280,16 +281,6 @@ impl Runtime {
             return Err("no tasks were submitted".to_string());
         }
         let (schedule, summary, events) = match scheduler {
-            Scheduler::HeteroPrio(scheme) => {
-                apply_bottom_level_priorities(&mut graph, scheme);
-                let mut policy = HeteroPrioDagPolicy::new(HeteroPrioConfig::new());
-                run_policy(&graph, &platform, &mut policy, &transfer, &plan, record, metrics)?
-            }
-            Scheduler::DualHp(rank, scheme) => {
-                apply_bottom_level_priorities(&mut graph, scheme);
-                let mut policy = DualHpDagPolicy::new(rank);
-                run_policy(&graph, &platform, &mut policy, &transfer, &plan, record, metrics)?
-            }
             Scheduler::Heft(scheme, variant) => {
                 if transfer != TransferModel::NONE {
                     return Err("static HEFT does not support transfer penalties".to_string());
@@ -304,10 +295,10 @@ impl Runtime {
                 let summary = TraceSummary::from_events(platform.workers(), &events);
                 (schedule, summary, if record { events } else { Vec::new() })
             }
-            Scheduler::PriorityList(scheme) => {
-                apply_bottom_level_priorities(&mut graph, scheme);
-                let mut policy = PriorityListPolicy::new();
-                run_policy(&graph, &platform, &mut policy, &transfer, &plan, record, metrics)?
+            _ => {
+                let mut policy = kernel_policy(scheduler, &mut graph)?;
+                let policy = policy.as_mut();
+                run_policy(&graph, &platform, policy, &transfer, &plan, record, metrics)?
             }
         };
         finish_report(graph, &platform, &transfer, plan, schedule, summary, events)
@@ -337,13 +328,13 @@ impl Runtime {
         if graph.is_empty() {
             return Err("no tasks were submitted".to_string());
         }
-        let mut policy = durable_policy(scheduler, &mut graph)?;
+        let mut policy = kernel_policy(scheduler, &mut graph)?;
         let mut events = VecSink::new();
         let mut jsink = JournalSink::new(journal);
         let res = try_simulate_durable(
             &graph,
             &platform,
-            &mut PolicyRef(policy.as_mut()),
+            policy.as_mut(),
             &transfer,
             &plan,
             durability,
@@ -402,13 +393,13 @@ impl Runtime {
             return Err("no tasks were submitted".to_string());
         }
         let tail = journal.replay().map_err(|e| format!("journal replay failed: {e}"))?;
-        let mut policy = durable_policy(scheduler, &mut graph)?;
+        let mut policy = kernel_policy(scheduler, &mut graph)?;
         let mut events = VecSink::new();
         let mut jsink = JournalSink::resuming(journal, tail.len());
         let res = try_resume_faulty(
             &graph,
             &platform,
-            &mut PolicyRef(policy.as_mut()),
+            policy.as_mut(),
             &transfer,
             &plan,
             snapshot,
@@ -435,75 +426,13 @@ impl Runtime {
     }
 }
 
-/// The durable entry points dispatch on [`Scheduler`] at runtime, so the
-/// three snapshotable policies are handled behind one object-safe facade.
-trait ErasedSnapshotPolicy {
-    fn as_online(&mut self) -> &mut dyn OnlinePolicy;
-    fn ready_order_erased(&self) -> Vec<TaskId>;
-    fn worker_order_erased(&self) -> heteroprio_core::WorkerOrder;
-}
-
-impl<P: SnapshotOnlinePolicy> ErasedSnapshotPolicy for P {
-    fn as_online(&mut self) -> &mut dyn OnlinePolicy {
-        self
-    }
-
-    fn ready_order_erased(&self) -> Vec<TaskId> {
-        self.ready_order()
-    }
-
-    fn worker_order_erased(&self) -> heteroprio_core::WorkerOrder {
-        self.worker_order()
-    }
-}
-
-/// Wrapper giving `&mut dyn ErasedSnapshotPolicy` the concrete
-/// [`SnapshotOnlinePolicy`] bound the engine entry points require.
-struct PolicyRef<'p>(&'p mut dyn ErasedSnapshotPolicy);
-
-impl OnlinePolicy for PolicyRef<'_> {
-    fn init(&mut self, graph: &TaskGraph, platform: &Platform) {
-        self.0.as_online().init(graph, platform);
-    }
-
-    fn on_ready(&mut self, tasks: &[TaskId], ctx: &heteroprio_simulator::SimContext<'_>) {
-        self.0.as_online().on_ready(tasks, ctx);
-    }
-
-    fn pick_task(
-        &mut self,
-        worker: heteroprio_core::WorkerId,
-        ctx: &heteroprio_simulator::SimContext<'_>,
-    ) -> Option<TaskId> {
-        self.0.as_online().pick_task(worker, ctx)
-    }
-
-    fn spoliation_victim(
-        &mut self,
-        worker: heteroprio_core::WorkerId,
-        ctx: &heteroprio_simulator::SimContext<'_>,
-    ) -> Option<heteroprio_core::WorkerId> {
-        self.0.as_online().spoliation_victim(worker, ctx)
-    }
-
-    fn worker_order(&self) -> heteroprio_core::WorkerOrder {
-        // `as_online` needs `&mut`; route through the erased trait instead.
-        self.0.worker_order_erased()
-    }
-}
-
-impl SnapshotOnlinePolicy for PolicyRef<'_> {
-    fn ready_order(&self) -> Vec<TaskId> {
-        self.0.ready_order_erased()
-    }
-}
-
-/// Build the snapshotable policy for `scheduler`, applying its priority
-/// scheme to `graph`. Static HEFT has no online state to journal.
-fn durable_policy(
+/// Build the kernel policy for `scheduler`, applying its priority scheme
+/// to `graph`. Static HEFT never enters the kernel, so it has no policy
+/// (and no online state to journal).
+fn kernel_policy(
     scheduler: Scheduler,
     graph: &mut TaskGraph,
-) -> Result<Box<dyn ErasedSnapshotPolicy>, String> {
+) -> Result<Box<dyn SnapshotPolicy>, String> {
     Ok(match scheduler {
         Scheduler::HeteroPrio(scheme) => {
             apply_bottom_level_priorities(graph, scheme);

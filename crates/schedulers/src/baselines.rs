@@ -7,9 +7,9 @@
 //! * [`RandomPolicy`] — uniformly random ready task; a chaos monkey for the
 //!   engine and a floor for the experiments.
 
+use heteroprio_core::kernel::{KernelContext, KernelPolicy, Pick, SnapshotPolicy};
 use heteroprio_core::time::F64Ord;
 use heteroprio_core::{TaskId, WorkerId, WorkerOrder};
-use heteroprio_simulator::{OnlinePolicy, SimContext, SnapshotOnlinePolicy};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
@@ -27,16 +27,16 @@ impl PriorityListPolicy {
     }
 }
 
-impl OnlinePolicy for PriorityListPolicy {
-    fn on_ready(&mut self, tasks: &[TaskId], ctx: &SimContext<'_>) {
+impl KernelPolicy for PriorityListPolicy {
+    fn on_ready(&mut self, tasks: &[TaskId], ctx: &KernelContext<'_>) {
         for &t in tasks {
-            let pri = ctx.graph.instance().task(t).priority;
+            let pri = ctx.instance.task(t).priority;
             self.queue.insert((F64Ord::new(-pri), t));
         }
     }
 
-    fn pick_task(&mut self, _worker: WorkerId, _ctx: &SimContext<'_>) -> Option<TaskId> {
-        self.queue.pop_first().map(|(_, t)| t)
+    fn pick(&mut self, _worker: WorkerId, _ctx: &KernelContext<'_>) -> Option<Pick> {
+        self.queue.pop_first().map(|(_, task)| Pick { task, queue_end: None })
     }
 
     fn worker_order(&self) -> WorkerOrder {
@@ -44,7 +44,7 @@ impl OnlinePolicy for PriorityListPolicy {
     }
 }
 
-impl SnapshotOnlinePolicy for PriorityListPolicy {
+impl SnapshotPolicy for PriorityListPolicy {
     // The set order is canonical (priority, id), independent of insertion
     // order, so the default re-announcing `restore` is trivially exact.
     fn ready_order(&self) -> Vec<TaskId> {
@@ -65,17 +65,17 @@ impl RandomPolicy {
     }
 }
 
-impl OnlinePolicy for RandomPolicy {
-    fn on_ready(&mut self, tasks: &[TaskId], _ctx: &SimContext<'_>) {
+impl KernelPolicy for RandomPolicy {
+    fn on_ready(&mut self, tasks: &[TaskId], _ctx: &KernelContext<'_>) {
         self.ready.extend_from_slice(tasks);
     }
 
-    fn pick_task(&mut self, _worker: WorkerId, _ctx: &SimContext<'_>) -> Option<TaskId> {
+    fn pick(&mut self, _worker: WorkerId, _ctx: &KernelContext<'_>) -> Option<Pick> {
         if self.ready.is_empty() {
             return None;
         }
         let i = self.rng.random_range(0..self.ready.len());
-        Some(self.ready.swap_remove(i))
+        Some(Pick { task: self.ready.swap_remove(i), queue_end: None })
     }
 }
 

@@ -18,11 +18,11 @@
 //! per-ready-event cost low enough for the N=64 task graphs of Figure 7
 //! (tens of thousands of ready events).
 
+use heteroprio_core::kernel::{KernelContext, KernelPolicy, Pick, SnapshotPolicy};
 use heteroprio_core::list::list_schedule;
 use heteroprio_core::{
     ClassId, Instance, Platform, ResourceKind, Schedule, TaskId, TaskRun, WorkerId, WorkerOrder,
 };
-use heteroprio_simulator::{OnlinePolicy, SimContext, SnapshotOnlinePolicy};
 
 /// Placement of every packed task: (task, worker, start, end).
 type Placements = Vec<(TaskId, WorkerId, f64, f64)>;
@@ -370,25 +370,25 @@ impl DualHpDagPolicy {
         }
     }
 
-    fn repartition(&mut self, ctx: &SimContext<'_>) {
+    fn repartition(&mut self, ctx: &KernelContext<'_>) {
         // Worker availability = remaining time of the currently running task.
         // Dead workers receive no placements, so a class wiped out by a
         // fault plan spills its whole share onto the survivors.
-        let avail: Vec<f64> = (0..ctx.platform.workers())
-            .map(|w| ctx.running[w].map_or(0.0, |r| (r.end - ctx.now).max(0.0)))
-            .collect();
+        let avail: Vec<f64> =
+            ctx.running.iter().map(|r| r.map_or(0.0, |r| (r.end - ctx.now).max(0.0))).collect();
         let tasks: Vec<TaskId> = self.pending.iter().map(|&(t, _)| t).collect();
-        let placements = search(ctx.graph.instance(), ctx.platform, tasks, &avail, ctx.alive);
+        let placements = search(ctx.instance, ctx.platform, tasks, &avail, ctx.alive);
         self.queues.resize(ctx.platform.k(), Vec::new());
         for q in &mut self.queues {
             q.clear();
         }
         for (task, worker, _, _) in placements {
-            self.queues[ctx.platform.class_of(worker).index()].push(task);
+            let class = ctx.platform.class_of(worker).index();
+            self.queues.get_mut(class).expect("one queue per class").push(task);
         }
         // Serve order within each class. Queues pop from the back, so sort
         // ascending in urgency.
-        let instance = ctx.graph.instance();
+        let instance = ctx.instance;
         let pending = &self.pending;
         let seq_of =
             |t: TaskId| pending.iter().find(|&&(x, _)| x == t).map(|&(_, s)| s).unwrap_or(u64::MAX);
@@ -411,8 +411,8 @@ impl DualHpDagPolicy {
     }
 }
 
-impl OnlinePolicy for DualHpDagPolicy {
-    fn on_ready(&mut self, tasks: &[TaskId], _ctx: &SimContext<'_>) {
+impl KernelPolicy for DualHpDagPolicy {
+    fn on_ready(&mut self, tasks: &[TaskId], _ctx: &KernelContext<'_>) {
         for &t in tasks {
             self.pending.push((t, self.seq));
             self.seq = self.seq.checked_add(1).expect("u64 push sequence never saturates");
@@ -420,7 +420,7 @@ impl OnlinePolicy for DualHpDagPolicy {
         self.dirty = true;
     }
 
-    fn pick_task(&mut self, worker: WorkerId, ctx: &SimContext<'_>) -> Option<TaskId> {
+    fn pick(&mut self, worker: WorkerId, ctx: &KernelContext<'_>) -> Option<Pick> {
         if self.dirty || self.alive_seen != ctx.alive {
             self.alive_seen = ctx.alive.to_vec();
             self.repartition(ctx);
@@ -429,7 +429,7 @@ impl OnlinePolicy for DualHpDagPolicy {
         let queue = self.queues.get_mut(ctx.platform.class_of(worker).index())?;
         let task = queue.pop()?;
         self.pending.retain(|&(t, _)| t != task);
-        Some(task)
+        Some(Pick { task, queue_end: None })
     }
 
     fn worker_order(&self) -> WorkerOrder {
@@ -437,7 +437,7 @@ impl OnlinePolicy for DualHpDagPolicy {
     }
 }
 
-impl SnapshotOnlinePolicy for DualHpDagPolicy {
+impl SnapshotPolicy for DualHpDagPolicy {
     // `pending` holds the full ready set in announcement order (sequence
     // numbers ascend with pushes and survive `retain`). The default
     // `restore` re-announces that list, assigning fresh ascending sequence

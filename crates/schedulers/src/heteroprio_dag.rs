@@ -6,64 +6,46 @@
 //! tasks." Priorities (bottom levels) break ties among equal acceleration
 //! factors and among spoliation candidates with equal completion times.
 
-use heteroprio_core::time::strictly_less;
-use heteroprio_core::{
-    AffinityQueue, HeteroPrioConfig, SpoliationTieBreak, TaskId, WorkerId, WorkerOrder,
-};
-use heteroprio_simulator::{OnlinePolicy, SimContext, SnapshotOnlinePolicy};
+use heteroprio_core::kernel::{KernelContext, KernelPolicy, Pick, SnapshotPolicy};
+use heteroprio_core::{scan_victim, ClassQueue, HeteroPrioConfig, TaskId, WorkerId, WorkerOrder};
 
-/// HeteroPrio as an online policy for the runtime engine. The ready queue
-/// is the shared [`AffinityQueue`] (acceleration factor primary, the
-/// paper's priority tie rule secondary, arrival order final).
+/// HeteroPrio as a kernel policy for the runtime engine: core's
+/// [`ClassQueue`] (acceleration factor primary, the paper's priority tie
+/// rule secondary, arrival order final) and core's [`scan_victim`], the
+/// same queue rule and spoliation test as Algorithm 1.
 pub struct HeteroPrioDagPolicy {
     config: HeteroPrioConfig,
-    queue: AffinityQueue,
+    /// Sized to the platform's class count at the first announcement.
+    queue: Option<ClassQueue>,
 }
 
 impl HeteroPrioDagPolicy {
     pub fn new(config: HeteroPrioConfig) -> Self {
-        HeteroPrioDagPolicy { config, queue: AffinityQueue::new(config.queue_tie) }
+        HeteroPrioDagPolicy { config, queue: None }
     }
 }
 
-impl OnlinePolicy for HeteroPrioDagPolicy {
-    fn on_ready(&mut self, tasks: &[TaskId], ctx: &SimContext<'_>) {
+impl KernelPolicy for HeteroPrioDagPolicy {
+    fn on_ready(&mut self, tasks: &[TaskId], ctx: &KernelContext<'_>) {
+        let tie = self.config.queue_tie;
+        let queue = self.queue.get_or_insert_with(|| ClassQueue::new(ctx.platform.k(), tie));
         for &t in tasks {
-            self.queue.push(ctx.graph.instance(), t);
+            queue.push(ctx.instance, t);
         }
     }
 
-    fn pick_task(&mut self, worker: WorkerId, ctx: &SimContext<'_>) -> Option<TaskId> {
-        self.queue.pop(ctx.platform.kind_of(worker))
+    fn pick(&mut self, worker: WorkerId, ctx: &KernelContext<'_>) -> Option<Pick> {
+        // A generic pick: the DAG event stream records it as a policy
+        // decision, without a queue-end annotation.
+        let (task, _) = self.queue.as_mut()?.pop(ctx.platform.class_of(worker))?;
+        Some(Pick { task, queue_end: None })
     }
 
-    fn spoliation_victim(&mut self, worker: WorkerId, ctx: &SimContext<'_>) -> Option<WorkerId> {
+    fn spoliation_victim(&mut self, worker: WorkerId, ctx: &KernelContext<'_>) -> Option<WorkerId> {
         if self.config.disable_spoliation {
             return None;
         }
-        let my_kind = ctx.platform.kind_of(worker);
-        let mut candidates: Vec<(WorkerId, heteroprio_simulator::RunningTask)> =
-            ctx.running_on(my_kind.other()).collect();
-        candidates.sort_by(|(_, a), (_, b)| {
-            b.end.total_cmp(&a.end).then_with(|| {
-                let ta = ctx.graph.instance().task(a.task);
-                let tb = ctx.graph.instance().task(b.task);
-                match self.config.spoliation_tie {
-                    SpoliationTieBreak::PriorityThenId => {
-                        tb.priority.total_cmp(&ta.priority).then(a.task.cmp(&b.task))
-                    }
-                    SpoliationTieBreak::IdAscending => a.task.cmp(&b.task),
-                    SpoliationTieBreak::IdDescending => b.task.cmp(&a.task),
-                }
-            })
-        });
-        for (v, r) in candidates {
-            let new_end = ctx.now + ctx.effective_time(r.task, my_kind);
-            if strictly_less(new_end, r.end) {
-                return Some(v);
-            }
-        }
-        None
+        scan_victim(self.config.spoliation_tie, worker, ctx)
     }
 
     fn worker_order(&self) -> WorkerOrder {
@@ -71,14 +53,14 @@ impl OnlinePolicy for HeteroPrioDagPolicy {
     }
 }
 
-impl SnapshotOnlinePolicy for HeteroPrioDagPolicy {
+impl SnapshotPolicy for HeteroPrioDagPolicy {
     // The default `restore` (re-announce through `on_ready`) is exact: the
-    // affinity queue orders by acceleration factor, then the configured tie
+    // class queue orders by acceleration factor, then the configured tie
     // rule, then arrival sequence, and re-pushing in `iter()` order (GPU end
     // to CPU end) assigns fresh ascending sequence numbers that reproduce
     // the original arbitration.
     fn ready_order(&self) -> Vec<TaskId> {
-        self.queue.iter().collect()
+        self.queue.iter().flat_map(ClassQueue::iter).collect()
     }
 }
 
@@ -86,36 +68,107 @@ impl SnapshotOnlinePolicy for HeteroPrioDagPolicy {
 mod tests {
     use super::*;
     use heteroprio_core::time::approx_eq;
-    use heteroprio_core::{heteroprio, Instance, Platform, ResourceKind};
-    use heteroprio_simulator::simulate;
-    use heteroprio_taskgraph::{check_precedence, cholesky, ConstTiming, TaskGraph};
+    use heteroprio_core::{
+        heteroprio, Instance, Platform, QueueTieBreak, ResourceKind, SpoliationTieBreak, Task,
+    };
+    use heteroprio_simulator::{simulate, simulate_with, TransferModel};
+    use heteroprio_taskgraph::{check_precedence, cholesky, ConstTiming, DagBuilder, TaskGraph};
+    use proptest::prelude::*;
 
-    #[test]
-    fn matches_core_heteroprio_on_independent_tasks() {
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
         // On an edge-free graph the DAG policy must reproduce the core
-        // independent-task implementation exactly.
-        let times: Vec<(f64, f64)> = (1..=12)
-            .map(|i| {
-                let p = (i * 37 % 11 + 1) as f64;
-                let q = (i * 53 % 7 + 1) as f64;
-                (p, q)
-            })
-            .collect();
-        let inst = Instance::from_times(&times);
-        let plat = Platform::new(3, 2);
+        // independent-task engine bit for bit, under every configuration:
+        // both queue tie rules, every worker order, every spoliation tie
+        // rule, spoliation on and off. Times come from a small set so ties
+        // in ρ, completion time and priority are common.
+        #[test]
+        fn matches_core_heteroprio_on_independent_tasks(
+            rows in prop::collection::vec((0usize..5, 0usize..5, 0usize..3), 1..24),
+            cpus in 1usize..4,
+            gpus in 1usize..3,
+        ) {
+            const TIMES: [f64; 5] = [1.0, 2.0, 3.0, 4.0, 8.0];
+            let mut inst = Instance::new();
+            for &(p, q, pri) in &rows {
+                inst.push(Task::new(TIMES[p], TIMES[q]).with_priority(pri as f64));
+            }
+            let plat = Platform::new(cpus, gpus);
+            let g = TaskGraph::independent(inst.clone());
+            for queue_tie in [QueueTieBreak::Priority, QueueTieBreak::InsertionOrder] {
+                for worker_order in [WorkerOrder::GpusFirst, WorkerOrder::CpusFirst, WorkerOrder::ById] {
+                    for spoliation_tie in [
+                        SpoliationTieBreak::PriorityThenId,
+                        SpoliationTieBreak::IdAscending,
+                        SpoliationTieBreak::IdDescending,
+                    ] {
+                        for disable_spoliation in [false, true] {
+                            let cfg = HeteroPrioConfig {
+                                queue_tie,
+                                worker_order,
+                                spoliation_tie,
+                                disable_spoliation,
+                            };
+                            let core = heteroprio(&inst, &plat, &cfg);
+                            let dag = simulate(&g, &plat, &mut HeteroPrioDagPolicy::new(cfg));
+                            prop_assert_eq!(&core.schedule.runs, &dag.schedule.runs, "{:?}", cfg);
+                            prop_assert_eq!(&core.schedule.aborted, &dag.schedule.aborted, "{:?}", cfg);
+                            prop_assert_eq!(core.spoliations, dag.spoliations, "{:?}", cfg);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The class queue is k-aware, so the DAG policy also reproduces the
+    /// core engine beyond two classes.
+    #[test]
+    fn matches_core_heteroprio_at_three_classes() {
+        let times =
+            [[4.0, 1.0, 2.0], [1.0, 3.0, 2.0], [2.0, 2.0, 1.0], [8.0, 1.0, 1.0], [1.0, 1.0, 4.0]];
+        let mut inst = Instance::new();
+        for (i, row) in times.iter().cycle().take(17).enumerate() {
+            inst.push(Task::from_times(row).with_priority((i % 3) as f64));
+        }
+        let plat = Platform::from_counts(&[3, 2, 1]);
         let cfg = HeteroPrioConfig::new();
-        let core_res = heteroprio(&inst, &plat, &cfg);
+        let core = heteroprio(&inst, &plat, &cfg);
         let g = TaskGraph::independent(inst.clone());
-        let mut policy = HeteroPrioDagPolicy::new(cfg);
-        let sim_res = simulate(&g, &plat, &mut policy);
-        sim_res.schedule.validate(&inst, &plat).unwrap();
-        assert!(
-            approx_eq(core_res.makespan(), sim_res.makespan()),
-            "core {} vs dag {}",
-            core_res.makespan(),
-            sim_res.makespan()
-        );
-        assert_eq!(core_res.spoliations, sim_res.spoliations);
+        let dag = simulate(&g, &plat, &mut HeteroPrioDagPolicy::new(cfg));
+        dag.schedule.validate(&inst, &plat).unwrap();
+        assert_eq!(core.schedule.runs, dag.schedule.runs);
+        assert_eq!(core.schedule.aborted, dag.schedule.aborted);
+        assert_eq!(core.spoliations, dag.spoliations);
+    }
+
+    /// The victim scan prices a restart with the transfer penalty the
+    /// kernel will charge. `b` follows `a`, which runs on the CPU, so `b`
+    /// restarted on the GPU pays the penalty: at 1.5 the steal no longer
+    /// strictly improves `b`'s completion, and the scan must skip it (the
+    /// kernel panics on a non-improving spoliation).
+    #[test]
+    fn victim_scan_counts_the_transfer_penalty() {
+        let mut builder = DagBuilder::new();
+        let a = builder.add_task(Task::new(1.0, 100.0), "a");
+        builder.add_task(Task::new(100.0, 2.0), "c");
+        let b = builder.add_task(Task::new(4.0, 2.0), "b");
+        builder.add_edge(a, b);
+        let g = builder.build().unwrap();
+        let plat = Platform::new(1, 1);
+        let cfg = HeteroPrioConfig::new();
+
+        let free =
+            simulate_with(&g, &plat, &mut HeteroPrioDagPolicy::new(cfg), &TransferModel::NONE);
+        assert_eq!(free.spoliations, 1);
+        assert!(approx_eq(free.makespan(), 4.0), "{}", free.makespan());
+
+        let model = TransferModel::new(1.5);
+        let taxed = simulate_with(&g, &plat, &mut HeteroPrioDagPolicy::new(cfg), &model);
+        assert_eq!(taxed.spoliations, 0);
+        assert!(approx_eq(taxed.makespan(), 5.0), "{}", taxed.makespan());
+        check_precedence(&g, &taxed.schedule).unwrap();
     }
 
     #[test]

@@ -1,29 +1,48 @@
 //! The discrete-event runtime engine.
 //!
 //! Simulates a task-based runtime system executing a [`TaskGraph`] on a
-//! CPU+GPU platform under an [`OnlinePolicy`]: tasks become ready when their
+//! CPU+GPU platform under a [`KernelPolicy`]: tasks become ready when their
 //! predecessors complete, idle workers ask the policy for work, and policies
 //! may spoliate tasks running on the other resource class (abort and
 //! restart, losing all progress — the paper's §2.1 mechanism).
 //!
 //! The event loop itself is the shared kernel in
-//! [`heteroprio_core::kernel`]; this module contributes the DAG availability
-//! frontend (dependency release via [`ReadyTracker`], cross-class transfer
-//! penalties) and adapts [`OnlinePolicy`] implementations to the kernel's
-//! policy interface.
+//! [`heteroprio_core::kernel`], and policies implement its
+//! [`KernelPolicy`] directly; this module contributes the DAG availability
+//! frontend (dependency release via [`ReadyTracker`]) and the cross-class
+//! transfer penalty, which policies see through
+//! [`KernelContext::duration`](heteroprio_core::kernel::KernelContext::duration).
 
 use crate::fault::{FaultPlan, SimError};
-use crate::policy::{OnlinePolicy, SimContext, SnapshotOnlinePolicy, TransferModel};
 use heteroprio_core::kernel::{
-    self, FaultModel, KernelContext, KernelOptions, KernelPolicy, Pick, SnapshotPolicy,
-    TimelineEvent, Workload,
+    self, FaultModel, KernelOptions, KernelOutcome, KernelPolicy, SnapshotPolicy, TimelineEvent,
+    Workload,
 };
 use heteroprio_core::{
-    ClassId, DurabilityOptions, KernelSnapshot, Platform, Schedule, TaskId, WorkerId, WorkerOrder,
+    ClassId, DurabilityOptions, Instance, KernelSnapshot, Platform, Schedule, TaskId,
 };
 use heteroprio_metrics::{MetricsRegistry, NullRegistry};
 use heteroprio_taskgraph::{ReadyTracker, TaskGraph};
 use heteroprio_trace::{NullSink, TraceSink, TraceSummary};
+
+/// Optional execution-cost model: a fixed penalty added to a task's
+/// duration when at least one predecessor completed on a *different*
+/// resource class, approximating the data-transfer cost StarPU would pay to
+/// move the input tiles across the PCI bus. The paper's model sets this to
+/// zero; the robustness experiments sweep it.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct TransferModel {
+    pub cross_class_penalty: f64,
+}
+
+impl TransferModel {
+    pub const NONE: TransferModel = TransferModel { cross_class_penalty: 0.0 };
+
+    pub fn new(cross_class_penalty: f64) -> Self {
+        assert!(cross_class_penalty >= 0.0 && cross_class_penalty.is_finite());
+        TransferModel { cross_class_penalty }
+    }
+}
 
 /// Outcome of a simulated execution.
 #[derive(Clone, Debug)]
@@ -45,14 +64,25 @@ impl SimResult {
     }
 }
 
-/// Expand a plan's worker faults into a sorted down/up timeline, merging
-/// overlapping intervals per worker (a permanent failure swallows
-/// everything after it).
+impl From<KernelOutcome> for SimResult {
+    fn from(outcome: KernelOutcome) -> Self {
+        SimResult {
+            schedule: outcome.schedule,
+            first_idle: outcome.first_idle,
+            spoliations: outcome.spoliations,
+            summary: outcome.summary,
+        }
+    }
+}
+
 /// Checked accessor for a fault entry; callers index with loop bounds.
 fn fault_at(faults: &[(f64, Option<f64>)], j: usize) -> (f64, Option<f64>) {
     *faults.get(j).expect("j < faults.len() loop bound")
 }
 
+/// Expand a plan's worker faults into a sorted down/up timeline, merging
+/// overlapping intervals per worker (a permanent failure swallows
+/// everything after it).
 fn expand_timeline(plan: &FaultPlan, workers: usize) -> Result<Vec<TimelineEvent>, SimError> {
     let mut per: Vec<Vec<(f64, Option<f64>)>> = vec![Vec::new(); workers];
     for f in &plan.worker_faults {
@@ -104,7 +134,7 @@ fn expand_timeline(plan: &FaultPlan, workers: usize) -> Result<Vec<TimelineEvent
 /// spoliating an idle worker or one of the same class, a spoliation that
 /// does not strictly improve the task's completion time, or a deadlock
 /// (work remains, nothing runs, and the policy schedules nothing).
-pub fn simulate<P: OnlinePolicy>(
+pub fn simulate<P: KernelPolicy + ?Sized>(
     graph: &TaskGraph,
     platform: &Platform,
     policy: &mut P,
@@ -115,7 +145,7 @@ pub fn simulate<P: OnlinePolicy>(
 /// [`simulate`] with an explicit transfer-cost model: tasks whose inputs
 /// were produced on the other resource class pay the model's penalty on top
 /// of their base time.
-pub fn simulate_with<P: OnlinePolicy>(
+pub fn simulate_with<P: KernelPolicy + ?Sized>(
     graph: &TaskGraph,
     platform: &Platform,
     policy: &mut P,
@@ -130,7 +160,7 @@ pub fn simulate_with<P: OnlinePolicy>(
 /// dependency release, starts, completions, spoliations, idle transitions,
 /// and policy decisions; with [`NullSink`] the calls compile away and only
 /// the cheap per-worker accounting in [`TraceSummary`] remains.
-pub fn simulate_traced<P: OnlinePolicy, S: TraceSink>(
+pub fn simulate_traced<P: KernelPolicy + ?Sized, S: TraceSink>(
     graph: &TaskGraph,
     platform: &Platform,
     policy: &mut P,
@@ -148,7 +178,7 @@ pub fn simulate_traced<P: OnlinePolicy, S: TraceSink>(
 /// the fault-free event stream byte for byte. Policy protocol violations
 /// still panic (they are bugs, not simulated faults); exhausted retry
 /// budgets and unrecoverable platforms return a structured [`SimError`].
-pub fn try_simulate_faulty<P: OnlinePolicy, S: TraceSink>(
+pub fn try_simulate_faulty<P: KernelPolicy + ?Sized, S: TraceSink>(
     graph: &TaskGraph,
     platform: &Platform,
     policy: &mut P,
@@ -163,7 +193,7 @@ pub fn try_simulate_faulty<P: OnlinePolicy, S: TraceSink>(
 /// counters, queue-depth gauges and pick-latency histograms are recorded
 /// into `metrics` ([`NullRegistry`] compiles the instrumentation away).
 #[allow(clippy::too_many_arguments)]
-pub fn try_simulate_faulty_metered<P: OnlinePolicy, S: TraceSink, M: MetricsRegistry + ?Sized>(
+pub fn try_simulate_faulty_metered<P, S, M>(
     graph: &TaskGraph,
     platform: &Platform,
     policy: &mut P,
@@ -171,33 +201,33 @@ pub fn try_simulate_faulty_metered<P: OnlinePolicy, S: TraceSink, M: MetricsRegi
     plan: &FaultPlan,
     sink: &mut S,
     metrics: &M,
-) -> Result<SimResult, SimError> {
+) -> Result<SimResult, SimError>
+where
+    P: KernelPolicy + ?Sized,
+    S: TraceSink,
+    M: MetricsRegistry + ?Sized,
+{
+    let (mut workload, faults) = prepare(graph, platform, model, plan)?;
+    let options = KernelOptions { emit_decisions: true, metrics };
+    Ok(kernel::run(platform, &mut workload, policy, faults, options, sink)?.into())
+}
+
+/// Validate `plan` and build the kernel inputs every entry point shares.
+fn prepare<'a>(
+    graph: &'a TaskGraph,
+    platform: &Platform,
+    model: &'a TransferModel,
+    plan: &FaultPlan,
+) -> Result<(DagWorkload<'a>, FaultModel), SimError> {
     plan.validate()?;
-    let timeline = expand_timeline(plan, platform.workers())?;
-    policy.init(graph, platform);
-    let mut workload = DagWorkload { graph, tracker: ReadyTracker::new(graph), model };
-    let mut adapter = PolicyAdapter { graph, model, policy };
     let faults = FaultModel {
-        timeline,
+        timeline: expand_timeline(plan, platform.workers())?,
         task_failure_prob: plan.task_failure_prob,
         exec_jitter: plan.exec_jitter,
         seed: plan.seed,
         retry: plan.retry,
     };
-    let outcome = kernel::run(
-        platform,
-        &mut workload,
-        &mut adapter,
-        faults,
-        KernelOptions { emit_decisions: true, metrics },
-        sink,
-    )?;
-    Ok(SimResult {
-        schedule: outcome.schedule,
-        first_idle: outcome.first_idle,
-        spoliations: outcome.spoliations,
-        summary: outcome.summary,
-    })
+    Ok((DagWorkload { graph, tracker: ReadyTracker::new(graph), model }, faults))
 }
 
 /// DAG availability: tasks become ready when their predecessors complete,
@@ -242,62 +272,9 @@ impl Workload for DagWorkload<'_> {
             base
         }
     }
-}
 
-/// Adapts an [`OnlinePolicy`] (which sees the richer [`SimContext`] with
-/// graph and transfer model) to the kernel's policy interface.
-struct PolicyAdapter<'a, P: OnlinePolicy> {
-    graph: &'a TaskGraph,
-    model: &'a TransferModel,
-    policy: &'a mut P,
-}
-
-impl<'a, P: OnlinePolicy> PolicyAdapter<'a, P> {
-    fn sim_ctx<'b>(&self, ctx: &'b KernelContext<'b>) -> SimContext<'b>
-    where
-        'a: 'b,
-    {
-        SimContext {
-            now: ctx.now,
-            platform: ctx.platform,
-            graph: self.graph,
-            running: ctx.running,
-            ran_kind: ctx.ran_kind,
-            model: self.model,
-            alive: ctx.alive,
-        }
-    }
-}
-
-impl<P: OnlinePolicy> KernelPolicy for PolicyAdapter<'_, P> {
-    fn on_ready(&mut self, tasks: &[TaskId], ctx: &KernelContext<'_>) {
-        let ctx = self.sim_ctx(ctx);
-        self.policy.on_ready(tasks, &ctx);
-    }
-
-    fn pick(&mut self, worker: WorkerId, ctx: &KernelContext<'_>) -> Option<Pick> {
-        let ctx = self.sim_ctx(ctx);
-        self.policy.pick_task(worker, &ctx).map(|task| Pick { task, queue_end: None })
-    }
-
-    fn spoliation_victim(&mut self, worker: WorkerId, ctx: &KernelContext<'_>) -> Option<WorkerId> {
-        let ctx = self.sim_ctx(ctx);
-        self.policy.spoliation_victim(worker, &ctx)
-    }
-
-    fn worker_order(&self) -> WorkerOrder {
-        self.policy.worker_order()
-    }
-}
-
-impl<P: SnapshotOnlinePolicy> SnapshotPolicy for PolicyAdapter<'_, P> {
-    fn ready_order(&self) -> Vec<TaskId> {
-        self.policy.ready_order()
-    }
-
-    fn restore(&mut self, ready: &[TaskId], ctx: &KernelContext<'_>) {
-        let ctx = self.sim_ctx(ctx);
-        self.policy.restore(ready, &ctx);
+    fn instance(&self) -> &Instance {
+        self.graph.instance()
     }
 }
 
@@ -317,37 +294,14 @@ pub fn try_simulate_durable<P, S, M>(
     metrics: &M,
 ) -> Result<SimResult, SimError>
 where
-    P: SnapshotOnlinePolicy,
+    P: SnapshotPolicy + ?Sized,
     S: TraceSink,
     M: MetricsRegistry + ?Sized,
 {
-    plan.validate()?;
-    let timeline = expand_timeline(plan, platform.workers())?;
-    policy.init(graph, platform);
-    let mut workload = DagWorkload { graph, tracker: ReadyTracker::new(graph), model };
-    let mut adapter = PolicyAdapter { graph, model, policy };
-    let faults = FaultModel {
-        timeline,
-        task_failure_prob: plan.task_failure_prob,
-        exec_jitter: plan.exec_jitter,
-        seed: plan.seed,
-        retry: plan.retry,
-    };
-    let outcome = kernel::run_durable(
-        platform,
-        &mut workload,
-        &mut adapter,
-        faults,
-        KernelOptions { emit_decisions: true, metrics },
-        durability,
-        sink,
-    )?;
-    Ok(SimResult {
-        schedule: outcome.schedule,
-        first_idle: outcome.first_idle,
-        spoliations: outcome.spoliations,
-        summary: outcome.summary,
-    })
+    let (mut workload, faults) = prepare(graph, platform, model, plan)?;
+    let options = KernelOptions { emit_decisions: true, metrics };
+    Ok(kernel::run_durable(platform, &mut workload, policy, faults, options, durability, sink)?
+        .into())
 }
 
 /// Resume a crashed [`try_simulate_durable`] run from its recovered
@@ -369,46 +323,22 @@ pub fn try_resume_faulty<P, S, M>(
     metrics: &M,
 ) -> Result<SimResult, SimError>
 where
-    P: SnapshotOnlinePolicy,
+    P: SnapshotPolicy + ?Sized,
     S: TraceSink,
     M: MetricsRegistry + ?Sized,
 {
-    plan.validate()?;
-    let timeline = expand_timeline(plan, platform.workers())?;
-    policy.init(graph, platform);
-    let mut workload = DagWorkload { graph, tracker: ReadyTracker::new(graph), model };
-    let mut adapter = PolicyAdapter { graph, model, policy };
-    let faults = FaultModel {
-        timeline,
-        task_failure_prob: plan.task_failure_prob,
-        exec_jitter: plan.exec_jitter,
-        seed: plan.seed,
-        retry: plan.retry,
-    };
-    let outcome = kernel::resume(
-        platform,
-        &mut workload,
-        &mut adapter,
-        faults,
-        KernelOptions { emit_decisions: true, metrics },
-        snapshot,
-        journal,
-        sink,
-    )?;
-    Ok(SimResult {
-        schedule: outcome.schedule,
-        first_idle: outcome.first_idle,
-        spoliations: outcome.spoliations,
-        summary: outcome.summary,
-    })
+    let (mut workload, faults) = prepare(graph, platform, model, plan)?;
+    let options = KernelOptions { emit_decisions: true, metrics };
+    Ok(kernel::resume(platform, &mut workload, policy, faults, options, snapshot, journal, sink)?
+        .into())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use heteroprio_core::kernel::{KernelContext, Pick};
     use heteroprio_core::time::approx_eq;
-    use heteroprio_core::Instance;
-    use heteroprio_core::ResourceKind;
+    use heteroprio_core::{ResourceKind, WorkerId, WorkerOrder};
     use heteroprio_taskgraph::{chain, check_precedence, fork_join, DagBuilder, TaskGraph};
     use std::collections::VecDeque;
 
@@ -423,13 +353,18 @@ mod tests {
         }
     }
 
-    impl OnlinePolicy for Fifo {
-        fn on_ready(&mut self, tasks: &[TaskId], _ctx: &SimContext<'_>) {
+    /// Wrap a generic policy's choice: no queue-end annotation.
+    fn pick(task: Option<TaskId>) -> Option<Pick> {
+        task.map(|task| Pick { task, queue_end: None })
+    }
+
+    impl KernelPolicy for Fifo {
+        fn on_ready(&mut self, tasks: &[TaskId], _ctx: &KernelContext<'_>) {
             self.queue.extend(tasks);
         }
 
-        fn pick_task(&mut self, _worker: WorkerId, _ctx: &SimContext<'_>) -> Option<TaskId> {
-            self.queue.pop_front()
+        fn pick(&mut self, _worker: WorkerId, _ctx: &KernelContext<'_>) -> Option<Pick> {
+            pick(self.queue.pop_front())
         }
     }
 
@@ -483,13 +418,13 @@ mod tests {
         struct SpoliateOnce {
             queue: Vec<TaskId>,
         }
-        impl OnlinePolicy for SpoliateOnce {
-            fn on_ready(&mut self, tasks: &[TaskId], _ctx: &SimContext<'_>) {
+        impl KernelPolicy for SpoliateOnce {
+            fn on_ready(&mut self, tasks: &[TaskId], _ctx: &KernelContext<'_>) {
                 self.queue.extend_from_slice(tasks);
             }
-            fn pick_task(&mut self, worker: WorkerId, ctx: &SimContext<'_>) -> Option<TaskId> {
+            fn pick(&mut self, worker: WorkerId, ctx: &KernelContext<'_>) -> Option<Pick> {
                 if ctx.platform.kind_of(worker) == ResourceKind::Cpu {
-                    self.queue.pop()
+                    pick(self.queue.pop())
                 } else {
                     None
                 }
@@ -497,15 +432,16 @@ mod tests {
             fn spoliation_victim(
                 &mut self,
                 worker: WorkerId,
-                ctx: &SimContext<'_>,
+                ctx: &KernelContext<'_>,
             ) -> Option<WorkerId> {
                 let kind = ctx.platform.kind_of(worker);
-                ctx.running_on(kind.other())
-                    .find(|(_, r)| {
-                        let t = ctx.graph.instance().task(r.task).time_on(kind);
-                        ctx.now + t < r.end
-                    })
-                    .map(|(w, _)| w)
+                ctx.platform.workers_of(kind.other()).find(|&v| {
+                    ctx.running
+                        .get(v.index())
+                        .copied()
+                        .flatten()
+                        .is_some_and(|r| ctx.now + ctx.instance.task(r.task).time_on(kind) < r.end)
+                })
             }
             fn worker_order(&self) -> WorkerOrder {
                 WorkerOrder::CpusFirst
@@ -527,10 +463,10 @@ mod tests {
     #[should_panic(expected = "not ready")]
     fn picking_unready_task_panics() {
         struct Evil;
-        impl OnlinePolicy for Evil {
-            fn on_ready(&mut self, _tasks: &[TaskId], _ctx: &SimContext<'_>) {}
-            fn pick_task(&mut self, _worker: WorkerId, _ctx: &SimContext<'_>) -> Option<TaskId> {
-                Some(TaskId(1)) // the chain's second task is still pending
+        impl KernelPolicy for Evil {
+            fn on_ready(&mut self, _tasks: &[TaskId], _ctx: &KernelContext<'_>) {}
+            fn pick(&mut self, _worker: WorkerId, _ctx: &KernelContext<'_>) -> Option<Pick> {
+                pick(Some(TaskId(1))) // the chain's second task is still pending
             }
         }
         let g = chain(2, 1.0, 1.0);
@@ -542,9 +478,9 @@ mod tests {
     #[should_panic(expected = "deadlock")]
     fn refusing_all_work_deadlocks() {
         struct Lazy;
-        impl OnlinePolicy for Lazy {
-            fn on_ready(&mut self, _tasks: &[TaskId], _ctx: &SimContext<'_>) {}
-            fn pick_task(&mut self, _worker: WorkerId, _ctx: &SimContext<'_>) -> Option<TaskId> {
+        impl KernelPolicy for Lazy {
+            fn on_ready(&mut self, _tasks: &[TaskId], _ctx: &KernelContext<'_>) {}
+            fn pick(&mut self, _worker: WorkerId, _ctx: &KernelContext<'_>) -> Option<Pick> {
                 None
             }
         }
@@ -562,17 +498,17 @@ mod tests {
             queue: VecDeque<TaskId>,
             next_cpu: bool,
         }
-        impl OnlinePolicy for Alternate {
-            fn on_ready(&mut self, tasks: &[TaskId], _ctx: &SimContext<'_>) {
+        impl KernelPolicy for Alternate {
+            fn on_ready(&mut self, tasks: &[TaskId], _ctx: &KernelContext<'_>) {
                 self.queue.extend(tasks);
             }
-            fn pick_task(&mut self, worker: WorkerId, ctx: &SimContext<'_>) -> Option<TaskId> {
+            fn pick(&mut self, worker: WorkerId, ctx: &KernelContext<'_>) -> Option<Pick> {
                 let kind = ctx.platform.kind_of(worker);
                 let want = if self.next_cpu { ResourceKind::Cpu } else { ResourceKind::Gpu };
                 if kind == want {
                     let t = self.queue.pop_front()?;
                     self.next_cpu = !self.next_cpu;
-                    Some(t)
+                    pick(Some(t))
                 } else {
                     None
                 }
@@ -580,7 +516,7 @@ mod tests {
         }
         let g = chain(3, 2.0, 2.0);
         let plat = Platform::new(1, 1);
-        let model = crate::policy::TransferModel::new(0.5);
+        let model = TransferModel::new(0.5);
         let mut policy = Alternate { queue: VecDeque::new(), next_cpu: false };
         let res = super::simulate_with(&g, &plat, &mut policy, &model);
         // GPU, CPU (+0.5), GPU (+0.5): 2 + 2.5 + 2.5 = 7.
@@ -597,37 +533,37 @@ mod tests {
         let g = fork_join(6, 2.0, 1.0);
         let plat = Platform::new(2, 2);
         let a = simulate(&g, &plat, &mut Fifo::new()).makespan();
-        let b =
-            super::simulate_with(&g, &plat, &mut Fifo::new(), &crate::policy::TransferModel::NONE)
-                .makespan();
+        let b = super::simulate_with(&g, &plat, &mut Fifo::new(), &TransferModel::NONE).makespan();
         assert!(approx_eq(a, b));
     }
 
     #[test]
-    fn effective_time_reports_penalty_to_policies() {
-        // Observe ctx.effective_time from inside a policy after a pred
+    fn duration_reports_penalty_to_policies() {
+        // Observe ctx.duration from inside a policy after a pred
         // completed on the CPU.
         struct Probe {
             queue: VecDeque<TaskId>,
             observed: Vec<f64>,
         }
-        impl OnlinePolicy for Probe {
-            fn on_ready(&mut self, tasks: &[TaskId], ctx: &SimContext<'_>) {
+        impl KernelPolicy for Probe {
+            fn on_ready(&mut self, tasks: &[TaskId], ctx: &KernelContext<'_>) {
                 for &t in tasks {
-                    self.observed.push(ctx.effective_time(t, ResourceKind::Gpu));
+                    self.observed.push(ctx.duration(t, ResourceKind::Gpu));
                 }
                 self.queue.extend(tasks);
             }
-            fn pick_task(&mut self, worker: WorkerId, ctx: &SimContext<'_>) -> Option<TaskId> {
+            fn pick(&mut self, worker: WorkerId, ctx: &KernelContext<'_>) -> Option<Pick> {
                 // CPUs only, so successors always pay the GPU cross penalty.
-                (ctx.platform.kind_of(worker) == ResourceKind::Cpu)
-                    .then(|| self.queue.pop_front())
-                    .flatten()
+                pick(
+                    (ctx.platform.kind_of(worker) == ResourceKind::Cpu)
+                        .then(|| self.queue.pop_front())
+                        .flatten(),
+                )
             }
         }
         let g = chain(2, 1.0, 1.0);
         let plat = Platform::new(1, 1);
-        let model = crate::policy::TransferModel::new(0.25);
+        let model = TransferModel::new(0.25);
         let mut policy = Probe { queue: VecDeque::new(), observed: Vec::new() };
         let res = super::simulate_with(&g, &plat, &mut policy, &model);
         // First task: no preds → 1.0; second: pred ran on CPU → GPU time 1.25.

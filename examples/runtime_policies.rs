@@ -1,4 +1,4 @@
-//! Use the runtime-engine simulator directly with a custom online policy,
+//! Use the runtime-engine simulator directly with a custom kernel policy,
 //! next to the built-in ones — how a StarPU-like runtime would host
 //! HeteroPrio.
 //!
@@ -6,11 +6,12 @@
 //! cargo run --release --example runtime_policies
 //! ```
 
+use heteroprio::core::kernel::{KernelContext, KernelPolicy, Pick};
 use heteroprio::core::{HeteroPrioConfig, TaskId, WorkerId};
 use heteroprio::schedulers::{
     DualHpDagPolicy, DualHpRank, HeteroPrioDagPolicy, PriorityListPolicy,
 };
-use heteroprio::simulator::{simulate, OnlinePolicy, SimContext};
+use heteroprio::simulator::simulate;
 use heteroprio::taskgraph::{apply_bottom_level_priorities, qr, WeightScheme};
 use heteroprio::workloads::{paper_platform, ChameleonTiming};
 
@@ -22,19 +23,18 @@ struct ShortestFirst {
     ready: Vec<TaskId>,
 }
 
-impl OnlinePolicy for ShortestFirst {
-    fn on_ready(&mut self, tasks: &[TaskId], _ctx: &SimContext<'_>) {
+impl KernelPolicy for ShortestFirst {
+    fn on_ready(&mut self, tasks: &[TaskId], _ctx: &KernelContext<'_>) {
         self.ready.extend_from_slice(tasks);
     }
 
-    fn pick_task(&mut self, worker: WorkerId, ctx: &SimContext<'_>) -> Option<TaskId> {
-        let kind = ctx.platform.kind_of(worker);
-        let (idx, _) = self.ready.iter().enumerate().min_by(|(_, &a), (_, &b)| {
-            let ta = ctx.graph.instance().task(a).time_on(kind);
-            let tb = ctx.graph.instance().task(b).time_on(kind);
-            ta.total_cmp(&tb)
-        })?;
-        Some(self.ready.swap_remove(idx))
+    fn pick(&mut self, worker: WorkerId, ctx: &KernelContext<'_>) -> Option<Pick> {
+        let class = ctx.platform.class_of(worker);
+        let (idx, _) =
+            self.ready.iter().enumerate().min_by(|(_, &a), (_, &b)| {
+                ctx.duration(a, class).total_cmp(&ctx.duration(b, class))
+            })?;
+        Some(Pick { task: self.ready.swap_remove(idx), queue_end: None })
     }
 }
 

@@ -55,6 +55,16 @@ cargo run -q -p heteroprio-cli -- resume --journal "$tmp/run.journal" \
     --snapshot "$tmp/run.ckpt" --cpus 2 --gpus 1 \
     --trace "$tmp/resumed.jsonl" "$tmp/instance.txt" > /dev/null
 diff "$tmp/reference.jsonl" "$tmp/resumed.jsonl"
+# The same round trip for a non-HeteroPrio policy: DualHP on a DAG, crashed
+# at its midpoint event, resumed through the runtime's durable dispatch.
+cargo run -q -p heteroprio-cli -- dag cholesky 8 --cpus 2 --gpus 1 --algo dualhp \
+    --trace "$tmp/dualhp.jsonl" > /dev/null
+mid=$(( $(wc -l < "$tmp/dualhp.jsonl") / 2 ))
+cargo run -q -p heteroprio-cli -- dag cholesky 8 --cpus 2 --gpus 1 --algo dualhp \
+    --journal "$tmp/dualhp.journal" --crash-at "$mid" > /dev/null
+cargo run -q -p heteroprio-cli -- resume --journal "$tmp/dualhp.journal" \
+    --cpus 2 --gpus 1 --algo dualhp --trace "$tmp/dualhp-resumed.jsonl" cholesky 8 > /dev/null
+diff "$tmp/dualhp.jsonl" "$tmp/dualhp-resumed.jsonl"
 # Paper scale (Cholesky N=32 on 20 CPUs + 4 GPUs, crashed at its midpoint
 # event), on the release binary the perf step already built: the resume
 # decodes a real journal of ~1.3e4 records through the canonical-line decoder.
