@@ -1077,6 +1077,19 @@ mod tests {
     }
 
     #[test]
+    fn dag_metrics_report_times_the_victim_scan() {
+        // Four idle CPUs around one GPU: empty picks, hence victim scans.
+        let plat = ClassTable::cpu_gpu(4, 1).unwrap();
+        let opts = OutputOpts { metrics: true, ..OutputOpts::default() };
+        let out =
+            cmd_dag("cholesky", 4, &plat, DagAlgoArg::HeteroPrio, &opts, &FaultOpts::default())
+                .unwrap();
+        let line = out.report.lines().find(|l| l.contains("kernel_victim_ns"));
+        let line = line.unwrap_or_else(|| panic!("no victim row:\n{}", out.report));
+        assert!(!line.contains("count=0"), "{line}");
+    }
+
+    #[test]
     fn metrics_flag_composes_with_audit_on_the_live_path() {
         let plat = ClassTable::cpu_gpu(2, 1).unwrap();
         let opts = OutputOpts { metrics: true, audit: true, ..OutputOpts::default() };

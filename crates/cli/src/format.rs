@@ -14,7 +14,7 @@
 //! 1.0  3.0
 //! ```
 
-use heteroprio_core::{Instance, Task};
+use heteroprio_core::{Instance, ModelError, Task};
 use std::fmt::Write as _;
 
 /// A parse failure, with the 1-based line number.
@@ -84,7 +84,17 @@ pub fn parse_instance_k(text: &str, k: usize) -> Result<Instance, ParseError> {
             }
             times.push(t);
         }
-        let mut task = Task::from_times(&times);
+        // Each time is positive and finite, but a ratio of two may still
+        // overflow (`5e-324 1`): the model's own check names it.
+        let mut task = Task::try_from_times(&times).map_err(|e| {
+            let message = match e {
+                ModelError::NonFiniteAccel { cpu_time: hi, gpu_time: lo } => {
+                    format!("time ratio {hi:?}/{lo:?} (largest/smallest) is not finite")
+                }
+                e => e.to_string(),
+            };
+            ParseError { line, message }
+        })?;
         if let Some(p) = fields.get(k) {
             task = task.with_priority(parse(p, "priority")?);
         }
@@ -152,6 +162,17 @@ mod tests {
     fn rejects_non_positive_times() {
         assert!(parse_instance("0 1\n").is_err());
         assert!(parse_instance("1 -2\n").is_err());
+    }
+
+    #[test]
+    fn rejects_times_whose_ratio_overflows() {
+        // Both times pass the positivity check, but 1 / 5e-324 is infinite.
+        let err = parse_instance("1 1\n5e-324 1\n").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("ratio 1.0/5e-324"), "{err}");
+        let err = parse_instance_k("2 1e300 1e-300\n", 3).unwrap_err();
+        assert_eq!(err.line, 1);
+        assert!(err.message.contains("not finite"), "{err}");
     }
 
     #[test]

@@ -177,3 +177,20 @@ fn unknown_flags_are_rejected_and_usage_is_for_argument_errors_only() {
 
     let _ = std::fs::remove_file(&instance);
 }
+
+#[test]
+fn an_instance_whose_time_ratio_overflows_is_a_parse_error_not_a_panic() {
+    let instance = scratch("ratio-overflow.txt");
+    std::fs::write(&instance, "5e-324 1\n1 1\n").unwrap();
+    let out = bin()
+        .args(["schedule", "--cpus", "2", "--gpus", "1"])
+        .arg(&instance)
+        .output()
+        .expect("run heteroprio-cli");
+    assert!(!out.status.success(), "an unorderable task must fail the command");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("line 1"), "the error names the line: {stderr}");
+    assert!(stderr.contains("1.0/5e-324"), "the error names the ratio: {stderr}");
+    assert!(!stderr.contains("panicked"), "a bad input must not panic: {stderr}");
+    let _ = std::fs::remove_file(&instance);
+}

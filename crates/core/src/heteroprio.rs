@@ -32,7 +32,7 @@ use crate::kernel::{
     self, EngineError, FaultModel, KernelContext, KernelOptions, KernelPolicy, Pick, RunningTask,
     SnapshotPolicy, Workload,
 };
-use crate::model::{ClassId, Instance, ModelError, Platform, TaskId, WorkerId};
+use crate::model::{ClassId, Instance, ModelError, Platform, TaskId, WorkerId, MAX_CLASSES};
 use crate::queue::pair_index;
 use crate::schedule::Schedule;
 use crate::time::{strictly_less, F64Ord};
@@ -258,61 +258,107 @@ fn sort_total<T: Ord>(keyed: &mut [T]) {
     }
 }
 
-/// The paper's spoliation victim scan for idle worker `w`: tasks running on
-/// *any other* resource class, in decreasing order of expected completion
-/// time (ties per `tie`), first one strictly improvable. On the canonical
-/// two-class platform "any other class" is exactly the paper's "the other
-/// resource class"; for `k ≥ 3` the decreasing-completion scan *is* the
-/// argmax over other classes (the victim whose run the thief improves the
-/// most urgently). The restart is priced with [`KernelContext::duration`],
-/// the function the kernel's own strict-improvement check uses, so DAG
-/// transfer penalties are counted. Shared by every HeteroPrio policy.
-pub fn scan_victim(
+/// The paper's spoliation victim scan, shared by every HeteroPrio policy:
+/// for idle worker `w`, the tasks running on *any other* resource class in
+/// decreasing order of expected completion time (ties per the
+/// [`SpoliationTieBreak`]), first one strictly improvable. On the
+/// canonical two-class platform "any other class" is exactly the paper's
+/// "the other resource class"; for `k ≥ 3` the decreasing-completion scan
+/// *is* the argmax over other classes (the victim whose run the thief
+/// improves the most urgently). The restart is priced with
+/// [`KernelContext::duration`], the function the kernel's own
+/// strict-improvement check uses, so DAG transfer penalties are counted.
+///
+/// The scan is one allocation-free pass that keeps the earliest improving
+/// candidate in scan order. The order is total (every tie rule ends in the
+/// task id), so this is the victim a sort-then-first-match would return.
+///
+/// Once the ready queue is empty, every idle worker of a class asks the
+/// same question at the same instant. The answer depends only on the
+/// asking worker's class, `now`, the running tasks and `ran_kind` (through
+/// the duration), and [`KernelContext::epoch`] changes whenever the latter
+/// two do. So a scan that finds no victim is remembered per class under
+/// its `(now, epoch)`, and the next ask with the same key returns `None`
+/// without pricing anything. Epochs are unique per process, so the memo
+/// stays exact across runs and resumes of a reused policy.
+#[derive(Clone, Debug)]
+pub struct VictimScan {
     tie: SpoliationTieBreak,
-    w: WorkerId,
+    /// `no_victim[c]`: the `(now bits, epoch)` of the last class-`c` scan
+    /// that found no strictly improving victim.
+    no_victim: [Option<(u64, u64)>; MAX_CLASSES],
+}
+
+impl VictimScan {
+    pub fn new(tie: SpoliationTieBreak) -> Self {
+        VictimScan { tie, no_victim: [None; MAX_CLASSES] }
+    }
+
+    /// The victim worker idle worker `w` should spoliate, if any.
+    pub fn victim(&mut self, w: WorkerId, ctx: &KernelContext<'_>) -> Option<WorkerId> {
+        let my_class = ctx.platform.class_of(w);
+        let key = (ctx.now.to_bits(), ctx.epoch);
+        let tie = self.tie;
+        let memo = self.no_victim.get_mut(my_class.index()).expect("class index < MAX_CLASSES");
+        if *memo == Some(key) {
+            return None;
+        }
+        let found = first_improving(tie, my_class, ctx);
+        if found.is_none() {
+            *memo = Some(key);
+        }
+        found
+    }
+}
+
+/// The earliest candidate in scan order whose restart on `my_class`
+/// strictly improves its completion. Only a candidate that precedes the
+/// best so far is priced.
+fn first_improving(
+    tie: SpoliationTieBreak,
+    my_class: ClassId,
     ctx: &KernelContext<'_>,
 ) -> Option<WorkerId> {
-    let my_class = ctx.platform.class_of(w);
-    // Ascending worker id (ids are class-contiguous). Plain loops: this
-    // scan runs for every idle worker the queue cannot serve, and an
-    // iterator chain collecting into the Vec made Fig. 7 DAGs at N <= 16
-    // about 25% slower end to end (2-core Xeon), where such scans dominate.
-    let mut candidates: Vec<(WorkerId, RunningTask)> = Vec::new();
+    let mut best: Option<(WorkerId, RunningTask)> = None;
     for class in ctx.platform.classes() {
         if class == my_class {
             continue;
         }
         for v in ctx.platform.workers_of(class) {
-            if let Some(r) = ctx.running.get(v.index()).copied().flatten() {
-                candidates.push((v, r));
+            let Some(r) = ctx.running.get(v.index()).copied().flatten() else { continue };
+            if best.is_some_and(|(_, b)| scan_order(tie, ctx.instance, &b, &r).is_lt()) {
+                continue;
+            }
+            if strictly_less(ctx.now + ctx.duration(r.task, my_class), r.end) {
+                best = Some((v, r));
             }
         }
     }
-    candidates.sort_by(|(_, a), (_, b)| {
-        b.end.total_cmp(&a.end).then_with(|| {
-            let ta = ctx.instance.task(a.task);
-            let tb = ctx.instance.task(b.task);
-            match tie {
-                SpoliationTieBreak::PriorityThenId => {
-                    tb.priority.total_cmp(&ta.priority).then(a.task.cmp(&b.task))
-                }
-                SpoliationTieBreak::IdAscending => a.task.cmp(&b.task),
-                SpoliationTieBreak::IdDescending => b.task.cmp(&a.task),
-            }
-        })
-    });
-    for (v, r) in candidates {
-        let new_end = ctx.now + ctx.duration(r.task, my_class);
-        if strictly_less(new_end, r.end) {
-            return Some(v);
-        }
-    }
-    None
+    best.map(|(v, _)| v)
+}
+
+/// Spoliation scan order: decreasing expected completion, then the tie
+/// rule, which always ends in the task id.
+fn scan_order(
+    tie: SpoliationTieBreak,
+    instance: &Instance,
+    a: &RunningTask,
+    b: &RunningTask,
+) -> std::cmp::Ordering {
+    b.end.total_cmp(&a.end).then_with(|| match tie {
+        SpoliationTieBreak::PriorityThenId => instance
+            .task(b.task)
+            .priority
+            .total_cmp(&instance.task(a.task).priority)
+            .then(a.task.cmp(&b.task)),
+        SpoliationTieBreak::IdAscending => a.task.cmp(&b.task),
+        SpoliationTieBreak::IdDescending => b.task.cmp(&a.task),
+    })
 }
 
 /// All tasks of an [`Instance`] ready at time zero, no dependencies.
-struct IndependentWorkload<'a> {
-    instance: &'a Instance,
+pub(crate) struct IndependentWorkload<'a> {
+    pub(crate) instance: &'a Instance,
 }
 
 impl Workload for IndependentWorkload<'_> {
@@ -414,11 +460,16 @@ impl ReadyQueue {
 struct IndependentPolicy {
     config: HeteroPrioConfig,
     queue: ReadyQueue,
+    victims: VictimScan,
 }
 
 impl IndependentPolicy {
     fn new(platform: &Platform, config: &HeteroPrioConfig) -> Self {
-        IndependentPolicy { config: *config, queue: ReadyQueue::new(platform.k()) }
+        IndependentPolicy {
+            config: *config,
+            queue: ReadyQueue::new(platform.k()),
+            victims: VictimScan::new(config.spoliation_tie),
+        }
     }
 }
 
@@ -471,7 +522,7 @@ impl KernelPolicy for IndependentPolicy {
         if self.config.disable_spoliation {
             return None;
         }
-        scan_victim(self.config.spoliation_tie, worker, ctx)
+        self.victims.victim(worker, ctx)
     }
 
     fn worker_order(&self) -> WorkerOrder {

@@ -42,6 +42,7 @@
 use crate::durability::{schedule_from_events, DurabilityOptions, KernelSnapshot, ResumeError};
 use crate::heteroprio::WorkerOrder;
 use crate::model::{ClassId, Instance, Platform, TaskId, WorkerId};
+use crate::parallel::{epoch_block, EPOCH_BLOCK};
 use crate::schedule::{Schedule, TaskRun};
 use crate::time::{strictly_less, F64Ord};
 use heteroprio_metrics::{
@@ -79,6 +80,9 @@ pub mod metric {
     pub const EVENT_HEAP_DEPTH: &str = "kernel_event_heap_depth";
     /// Latency of a single `KernelPolicy::pick` call, nanoseconds.
     pub const PICK_NS: &str = "kernel_pick_ns";
+    /// Latency of a single `KernelPolicy::spoliation_victim` call (made
+    /// after every empty pick), nanoseconds.
+    pub const VICTIM_NS: &str = "kernel_victim_ns";
     /// Wall time of one assignment fixpoint, nanoseconds.
     pub const ASSIGN_NS: &str = "kernel_assign_ns";
     /// Wall time of the whole kernel run, nanoseconds.
@@ -260,6 +264,7 @@ struct Meter<'m, M: MetricsRegistry + ?Sized> {
     ready_depth: GaugeId,
     heap_depth: GaugeId,
     pick_ns: HistogramId,
+    victim_ns: HistogramId,
     assign_ns: HistogramId,
     run_ns: HistogramId,
 }
@@ -278,6 +283,7 @@ impl<'m, M: MetricsRegistry + ?Sized> Meter<'m, M> {
             ready_depth: m.gauge(metric::READY_DEPTH),
             heap_depth: m.gauge(metric::EVENT_HEAP_DEPTH),
             pick_ns: m.histogram(metric::PICK_NS),
+            victim_ns: m.histogram(metric::VICTIM_NS),
             assign_ns: m.histogram(metric::ASSIGN_NS),
             run_ns: m.histogram(metric::RUN_NS),
         }
@@ -358,7 +364,9 @@ pub trait Workload {
 
     /// Duration the kernel charges for `task` on class `class`. `ran_kind`
     /// records the class each completed task ran on, so DAG workloads can
-    /// charge cross-class transfer penalties.
+    /// charge cross-class transfer penalties. It must be a function of its
+    /// arguments: policies cache answers priced with it under a
+    /// [`KernelContext::epoch`], which moves when `ran_kind` does.
     fn duration(&self, task: TaskId, class: ClassId, ran_kind: &[Option<ClassId>]) -> f64;
 
     /// The tasks being scheduled (per-class times and priorities).
@@ -368,6 +376,14 @@ pub trait Workload {
 /// Read-only view of the kernel state handed to policy callbacks.
 pub struct KernelContext<'a> {
     pub now: f64,
+    /// Kernel state epoch: changes whenever `running`, `alive` or
+    /// `ran_kind` changes, and is never handed out by two kernels in one
+    /// process (each kernel draws its values from a fresh process-wide
+    /// block). Two callbacks that see the same `(now, epoch)` therefore see
+    /// the same state, so a policy may cache any answer that is a function
+    /// of `now` and that state, even across runs and resumes. The epoch is
+    /// not part of the trace.
+    pub epoch: u64,
     pub platform: &'a Platform,
     /// The tasks being scheduled.
     pub instance: &'a Instance,
@@ -707,6 +723,8 @@ struct Kernel<'a, S: TraceSink, M: MetricsRegistry + ?Sized> {
     last_checkpoint: u64,
     /// Reusable buffers for the hot loop (see [`Scratch`]).
     scratch: Scratch,
+    /// The state epoch handed to policies ([`KernelContext::epoch`]).
+    epoch: u64,
 }
 
 impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
@@ -754,7 +772,17 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
             checkpoint_every: None,
             last_checkpoint: 0,
             scratch: Scratch::default(),
+            epoch: epoch_block(),
         }
+    }
+
+    /// Move to a new state epoch. Called on every change to `running`,
+    /// `alive` or `ran_kind`; when this kernel's block is used up it draws
+    /// a fresh one, so no other kernel ever hands out the value.
+    #[inline]
+    fn bump_epoch(&mut self) {
+        let next = self.epoch.checked_add(1).expect("epoch blocks end below u64::MAX");
+        self.epoch = if next.is_multiple_of(EPOCH_BLOCK) { epoch_block() } else { next };
     }
 
     #[inline]
@@ -786,6 +814,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
     fn context<'c, W: Workload>(&'c self, workload: &'c W, now: f64) -> KernelContext<'c> {
         KernelContext {
             now,
+            epoch: self.epoch,
             platform: self.platform,
             instance: workload.instance(),
             running: &self.running,
@@ -853,6 +882,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
             }
         }
         self.running[w.index()] = Some(RunningTask { task, start: now, end });
+        self.bump_epoch();
         self.will_fail[w.index()] = fail_at.is_some();
         self.state[task.index()] = TaskState::Running;
         let event_at = fail_at.unwrap_or(now + actual);
@@ -884,7 +914,13 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
         loop {
             let order = policy.worker_order();
             let mut idle = std::mem::take(&mut self.idle);
-            idle.sort_by_key(|&w| self.worker_sort_key(order, w));
+            // Serve order. Worker keys are unique, so skipping the sort
+            // when the list is already in order changes nothing; it usually
+            // is, since still-idle workers keep their relative order.
+            let key = |&w: &WorkerId| self.worker_sort_key(order, w);
+            if !idle.is_sorted_by_key(key) {
+                idle.sort_by_key(key);
+            }
             let mut acted = false;
             // Arena: the consumed idle list and the still-idle list it
             // builds rotate between two pooled buffers; spoliation victims
@@ -903,7 +939,10 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
                     };
                     match pick {
                         Some(pick) => (Some(pick), None),
-                        None => (None, policy.spoliation_victim(w, &ctx)),
+                        None => {
+                            let _victim_span = ScopedTimer::start(meter.m, meter.victim_ns);
+                            (None, policy.spoliation_victim(w, &ctx))
+                        }
                     }
                 };
                 if let Some(pick) = picked {
@@ -961,6 +1000,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
                     let r = self.running[victim.index()]
                         .take()
                         .expect("policy spoliated an idle worker");
+                    self.bump_epoch();
                     let new_end = now + workload.duration(r.task, my_class, &self.ran_kind);
                     assert!(
                         strictly_less(new_end, r.end),
@@ -1028,6 +1068,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
         self.schedule.runs.push(TaskRun { task: r.task, worker: w, start: r.start, end: now });
         self.state[r.task.index()] = TaskState::Done;
         self.ran_kind[r.task.index()] = Some(self.platform.class_of(w));
+        self.bump_epoch();
         self.completed += 1;
         self.idle.push(w);
         let mut released = std::mem::take(&mut self.scratch.released);
@@ -1061,6 +1102,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
     /// attempt budget is exhausted.
     fn task_fail(&mut self, w: WorkerId, now: f64) -> Result<(), EngineError> {
         let r = self.running[w.index()].take().expect("failure on idle worker");
+        self.bump_epoch();
         self.failures[r.task.index()] += 1;
         let attempt = self.failures[r.task.index()];
         self.emit(SchedEvent::TaskFailed {
@@ -1104,6 +1146,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
         // event itself; no separate IdleEnd is emitted for a dead worker.
         self.idle_announced[w.index()] = false;
         let lost = self.running[w.index()].take();
+        self.bump_epoch();
         self.will_fail[w.index()] = false;
         self.generation[w.index()] += 1;
         self.emit(SchedEvent::WorkerDown {
@@ -1132,6 +1175,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
             return;
         }
         self.alive[w.index()] = true;
+        self.bump_epoch();
         self.emit(SchedEvent::WorkerUp { time: now, worker: w.0 });
         self.idle.push(w);
         self.idle_announced[w.index()] = false;
@@ -1379,6 +1423,7 @@ impl<'a, S: TraceSink, M: MetricsRegistry + ?Sized> Kernel<'a, S, M> {
         self.completed = snap.state.iter().filter(|&&s| s == TaskState::Done).count();
         self.idle_announced = snap.idle_announced.clone();
         self.alive = snap.alive.clone();
+        self.bump_epoch();
         self.will_fail = snap.will_fail.clone();
         self.failures = snap.failures.clone();
         self.timeline_pos = snap.timeline_pos;
@@ -1583,6 +1628,40 @@ mod tests {
             ),
             "got {result:?}"
         );
+    }
+
+    #[test]
+    fn victim_memo_is_keyed_by_instant_and_epoch() {
+        use crate::heteroprio::{IndependentWorkload, SpoliationTieBreak, VictimScan};
+        // Worker 0 is the CPU, worker 1 the GPU. Task 0 takes 2 on the CPU
+        // and runs on the GPU until `end`.
+        let inst = Instance::from_times(&[(2.0, 5.0)]);
+        let work = IndependentWorkload { instance: &inst };
+        let plat = Platform::new(1, 1);
+        let on_gpu = |end| [None, Some(RunningTask { task: TaskId(0), start: 0.0, end })];
+        let (until_5, until_10) = (on_gpu(5.0), on_gpu(10.0));
+        let ctx = |now, epoch, running| KernelContext {
+            now,
+            epoch,
+            platform: &plat,
+            instance: &inst,
+            running,
+            ran_kind: &[None],
+            alive: &[true, true],
+            workload: &work,
+        };
+        let cpu = WorkerId(0);
+        let mut scan = VictimScan::new(SpoliationTieBreak::default());
+        // At t = 4 the restart would end at 6, after 5: no victim.
+        assert_eq!(scan.victim(cpu, &ctx(4.0, 7, &until_5)), None);
+        assert_eq!(scan.victim(cpu, &ctx(4.0, 7, &until_5)), None);
+        // The same epoch at t = 1: the restart ends at 3, so it pays. The
+        // memo must not answer for another instant.
+        assert_eq!(scan.victim(cpu, &ctx(1.0, 7, &until_5)), Some(WorkerId(1)));
+        // Back at t = 4 under a new epoch, the run ends at 10: it pays too.
+        // The memo must not answer for another epoch.
+        assert_eq!(scan.victim(cpu, &ctx(4.0, 7, &until_5)), None);
+        assert_eq!(scan.victim(cpu, &ctx(4.0, 8, &until_10)), Some(WorkerId(1)));
     }
 
     #[test]

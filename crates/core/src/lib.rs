@@ -57,8 +57,8 @@ pub use durability::{
 };
 pub use heteroprio::{
     heteroprio, heteroprio_durable, heteroprio_metered, heteroprio_resume, heteroprio_traced,
-    scan_victim, sorted_queue, HeteroPrioConfig, HeteroPrioResult, QueueTieBreak,
-    SpoliationTieBreak, WorkerOrder,
+    sorted_queue, HeteroPrioConfig, HeteroPrioResult, QueueTieBreak, SpoliationTieBreak,
+    VictimScan, WorkerOrder,
 };
 pub use model::{
     ClassId, ClassTable, Instance, ModelError, Platform, ResourceKind, Task, TaskId, WorkerId,

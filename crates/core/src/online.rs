@@ -17,7 +17,7 @@
 //! as the offline engine, backed by the incremental [`ClassQueue`] (the
 //! offline engine sorts its one batch once instead).
 
-use crate::heteroprio::{scan_victim, HeteroPrioConfig, HeteroPrioResult};
+use crate::heteroprio::{HeteroPrioConfig, HeteroPrioResult, VictimScan};
 use crate::kernel::{self, FaultModel, KernelContext, KernelOptions, KernelPolicy, Pick, Workload};
 use crate::model::{ClassId, Instance, Platform, TaskId, WorkerId};
 use crate::queue::{ClassQueue, PopSide};
@@ -54,6 +54,7 @@ pub fn heteroprio_online_traced<S: TraceSink>(
     let mut policy = OnlineQueuePolicy {
         config: *config,
         queue: ClassQueue::new(platform.k(), config.queue_tie),
+        victims: VictimScan::new(config.spoliation_tie),
     };
     let outcome = kernel::run(
         platform,
@@ -153,6 +154,7 @@ impl Workload for ReleaseWorkload<'_> {
 struct OnlineQueuePolicy {
     config: HeteroPrioConfig,
     queue: ClassQueue,
+    victims: VictimScan,
 }
 
 impl KernelPolicy for OnlineQueuePolicy {
@@ -180,7 +182,7 @@ impl KernelPolicy for OnlineQueuePolicy {
         if self.config.disable_spoliation {
             return None;
         }
-        scan_victim(self.config.spoliation_tie, worker, ctx)
+        self.victims.victim(worker, ctx)
     }
 
     fn worker_order(&self) -> WorkerOrder {

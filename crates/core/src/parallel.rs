@@ -12,10 +12,34 @@
 //! worker-parallel kernel loop is expected to grow here, inside the same
 //! fence, rather than sprouting ad-hoc `thread::spawn` calls in the
 //! kernel.
+//!
+//! It also holds the one piece of process-wide state the kernel reads: the
+//! source of kernel state epochs (`epoch_block`).
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Mutex;
 use std::thread;
+
+/// Values per epoch block. A kernel counts its state epoch up through one
+/// block and draws the next block when it has used this many.
+pub(crate) const EPOCH_BLOCK: u64 = 1 << 16;
+
+/// Start of the next unclaimed epoch block.
+static NEXT_EPOCH_BLOCK: AtomicU64 = AtomicU64::new(0);
+
+/// Claim a fresh block of [`EPOCH_BLOCK`] kernel state epochs and return
+/// its first value. Blocks are disjoint for the life of the process, so
+/// two kernels never hand a policy the same epoch, whichever threads they
+/// run on. The claim never wraps: after 2^48 blocks it panics rather than
+/// reissue a value.
+pub(crate) fn epoch_block() -> u64 {
+    // Relaxed: the counter publishes no other data; the read-modify-write
+    // alone makes the claimed blocks disjoint.
+    NEXT_EPOCH_BLOCK
+        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |next| next.checked_add(EPOCH_BLOCK))
+        .expect("kernel epoch space exhausted")
+}
 
 /// Map `f` over `items` in parallel, preserving order. Uses up to
 /// `available_parallelism` worker threads (capped by the item count).
@@ -67,6 +91,15 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn epoch_blocks_are_disjoint_and_aligned() {
+        let a = epoch_block();
+        let b = epoch_block();
+        assert_ne!(a, b);
+        assert_eq!(a % EPOCH_BLOCK, 0);
+        assert_eq!(b % EPOCH_BLOCK, 0);
+    }
 
     #[test]
     fn preserves_order() {

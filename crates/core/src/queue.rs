@@ -163,6 +163,11 @@ impl AffinityQueue {
     /// Pop the task best suited to a worker of class `kind`: the most
     /// accelerated task for a GPU, the least accelerated for a CPU.
     pub fn pop(&mut self, kind: ResourceKind) -> Option<TaskId> {
+        // An empty queue answers at once instead of scanning the bitmap:
+        // once the ready set drains, every idle worker's pick lands here.
+        if self.len == 0 {
+            return None;
+        }
         let (b, key) = match kind {
             ResourceKind::Gpu => {
                 let b = self.first_occupied()?;
@@ -320,6 +325,11 @@ impl ClassQueue {
         }
         let c = class.index();
         assert!(c < self.k, "class {class} out of range (k = {})", self.k);
+        // Nothing live: skip the pair scans. Stale entries stay where they
+        // are and are dropped by a later pop, as they would be anyway.
+        if self.live == 0 {
+            return None;
+        }
         let mut best: Option<(f64, usize, PopSide, Key)> = None;
         for d in 0..self.k {
             if d == c {

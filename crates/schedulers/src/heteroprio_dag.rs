@@ -7,21 +7,22 @@
 //! factors and among spoliation candidates with equal completion times.
 
 use heteroprio_core::kernel::{KernelContext, KernelPolicy, Pick, SnapshotPolicy};
-use heteroprio_core::{scan_victim, ClassQueue, HeteroPrioConfig, TaskId, WorkerId, WorkerOrder};
+use heteroprio_core::{ClassQueue, HeteroPrioConfig, TaskId, VictimScan, WorkerId, WorkerOrder};
 
 /// HeteroPrio as a kernel policy for the runtime engine: core's
 /// [`ClassQueue`] (acceleration factor primary, the paper's priority tie
-/// rule secondary, arrival order final) and core's [`scan_victim`], the
+/// rule secondary, arrival order final) and core's [`VictimScan`], the
 /// same queue rule and spoliation test as Algorithm 1.
 pub struct HeteroPrioDagPolicy {
     config: HeteroPrioConfig,
     /// Sized to the platform's class count at the first announcement.
     queue: Option<ClassQueue>,
+    victims: VictimScan,
 }
 
 impl HeteroPrioDagPolicy {
     pub fn new(config: HeteroPrioConfig) -> Self {
-        HeteroPrioDagPolicy { config, queue: None }
+        HeteroPrioDagPolicy { config, queue: None, victims: VictimScan::new(config.spoliation_tie) }
     }
 }
 
@@ -45,7 +46,7 @@ impl KernelPolicy for HeteroPrioDagPolicy {
         if self.config.disable_spoliation {
             return None;
         }
-        scan_victim(self.config.spoliation_tie, worker, ctx)
+        self.victims.victim(worker, ctx)
     }
 
     fn worker_order(&self) -> WorkerOrder {

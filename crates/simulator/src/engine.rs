@@ -262,6 +262,11 @@ impl Workload for DagWorkload<'_> {
     /// a different class).
     fn duration(&self, task: TaskId, class: ClassId, ran_kind: &[Option<ClassId>]) -> f64 {
         let base = self.graph.instance().task(task).time_on(class);
+        // lint: allow(float-eq): exact sentinel — a zero penalty is set literally
+        // (TransferModel::NONE); with it every path returns `base` bit for bit.
+        if self.model.cross_class_penalty == 0.0 {
+            return base;
+        }
         let cross =
             self.graph.predecessors(task).iter().any(
                 |p| matches!(ran_kind.get(p.index()).copied().flatten(), Some(c) if c != class),

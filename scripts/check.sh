@@ -76,5 +76,18 @@ cargo run -q --release -p heteroprio-cli -- dag cholesky 32 --cpus 20 --gpus 4 \
 cargo run -q --release -p heteroprio-cli -- resume --journal "$tmp/run32.journal" \
     --cpus 20 --gpus 4 --trace "$tmp/resumed32.jsonl" cholesky 32 > /dev/null
 diff "$tmp/reference32.jsonl" "$tmp/resumed32.jsonl"
+# Many idle workers per empty instant: Cholesky N=8 on 20 CPUs + 4 GPUs
+# leaves most CPUs asking for a spoliation victim at once, and the fault
+# plan adds worker failures and task retries. The run is crashed at its
+# midpoint event, resumed from the journal alone, and diffed.
+faults='gpu@25%,fail=0.05,seed=3'
+cargo run -q --release -p heteroprio-cli -- dag cholesky 8 --cpus 20 --gpus 4 \
+    --faults "$faults" --trace "$tmp/idle8.jsonl" > /dev/null
+mid=$(( $(wc -l < "$tmp/idle8.jsonl") / 2 ))
+cargo run -q --release -p heteroprio-cli -- dag cholesky 8 --cpus 20 --gpus 4 \
+    --faults "$faults" --journal "$tmp/idle8.journal" --crash-at "$mid" > /dev/null
+cargo run -q --release -p heteroprio-cli -- resume --journal "$tmp/idle8.journal" \
+    --cpus 20 --gpus 4 --trace "$tmp/idle8-resumed.jsonl" cholesky 8 --faults "$faults" > /dev/null
+diff "$tmp/idle8.jsonl" "$tmp/idle8-resumed.jsonl"
 
 echo "all checks passed"

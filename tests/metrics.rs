@@ -8,7 +8,7 @@ use heteroprio::core::kernel::metric;
 use heteroprio::core::{heteroprio_metered, HeteroPrioConfig, Instance, Platform};
 use heteroprio::metrics::{prometheus, InMemoryRegistry, MetricsRegistry, NullRegistry};
 use heteroprio::schedulers::HeteroPrioDagPolicy;
-use heteroprio::simulator::{try_simulate_faulty_metered, FaultPlan, TransferModel};
+use heteroprio::simulator::{try_simulate_faulty_metered, FaultPlan, TransferModel, WorkerFault};
 use heteroprio::taskgraph::{apply_bottom_level_priorities, cholesky, TaskGraph, WeightScheme};
 use heteroprio::trace::{TraceSummary, VecSink};
 use heteroprio::workloads::{random_instance, ChameleonTiming, RandomInstanceParams};
@@ -142,6 +142,53 @@ fn a_real_kernel_snapshot_round_trips_through_prometheus_text() {
     assert_eq!(parsed, snap, "render → parse is not the identity");
     // And the round trip is a fixed point of render itself.
     assert_eq!(prometheus::render(&parsed), text);
+}
+
+/// The victim-scan timer is observation only too, and it times exactly
+/// the calls that follow an empty pick. The platform is the paper's 20
+/// CPUs + 4 GPUs under worker failures and task retries, where most picks
+/// come back empty.
+#[test]
+fn victim_timer_is_byte_identical_and_covers_every_empty_pick() {
+    let graph = ranked_cholesky(8);
+    let platform = Platform::new(20, 4);
+    let plan = FaultPlan {
+        worker_faults: vec![
+            WorkerFault::permanent(21, 30.0),
+            WorkerFault::transient(3, 10.0, 40.0),
+        ],
+        task_failure_prob: 0.05,
+        seed: 3,
+        ..FaultPlan::NONE
+    };
+    let run = |metrics: &dyn MetricsRegistry| {
+        let mut sink = VecSink::new();
+        let mut policy = HeteroPrioDagPolicy::new(HeteroPrioConfig::new());
+        let res = try_simulate_faulty_metered(
+            &graph,
+            &platform,
+            &mut policy,
+            &TransferModel::NONE,
+            &plan,
+            &mut sink,
+            metrics,
+        )
+        .expect("the plan leaves workers to finish on");
+        (sink.into_events(), res.schedule)
+    };
+    let registry = InMemoryRegistry::new();
+    let (metered_events, metered_schedule) = run(&registry);
+    let (null_events, null_schedule) = run(&NullRegistry);
+    assert_eq!(null_events, metered_events, "the victim timer perturbed the run");
+    assert_eq!(null_schedule.runs, metered_schedule.runs);
+    assert_eq!(null_schedule.aborted, metered_schedule.aborted);
+
+    let snap = registry.snapshot();
+    let picks = snap.histogram(metric::PICK_NS).expect("pick histogram").count;
+    let pops = snap.counter(metric::READY_POPS_TOTAL).unwrap_or(0);
+    let victims = snap.histogram(metric::VICTIM_NS).expect("victim histogram").count;
+    assert!(victims > 0, "no empty pick on 24 workers");
+    assert_eq!(victims, picks - pops, "one victim scan per empty pick");
 }
 
 proptest! {
